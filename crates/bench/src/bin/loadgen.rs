@@ -107,6 +107,15 @@ struct Bench {
     bodies: Vec<String>,
 }
 
+/// The coalescing config every loadgen server runs: the shipped policy
+/// with a 4096-query queue bound.
+fn coalesce_config() -> CoalesceConfig {
+    CoalesceConfig {
+        cap: 4096,
+        ..CoalesceConfig::default()
+    }
+}
+
 fn setup(quick: bool) -> Bench {
     let spec = DatasetSpec {
         dataset: PaperDataset::GloVe300,
@@ -157,11 +166,7 @@ fn setup(quick: bool) -> Bench {
     let handle = Server::start(
         ServerConfig {
             workers: 6,
-            coalesce: CoalesceConfig {
-                window: Duration::from_micros(200),
-                max_batch: 64,
-                cap: 4096,
-            },
+            coalesce: coalesce_config(),
             ..ServerConfig::default()
         },
         Arc::new(registry),
@@ -383,11 +388,7 @@ fn run_ingest(args: &Args) {
     let handle = Server::start_with_ingest(
         ServerConfig {
             workers: 6,
-            coalesce: CoalesceConfig {
-                window: Duration::from_micros(200),
-                max_batch: 64,
-                cap: 4096,
-            },
+            coalesce: coalesce_config(),
             ..ServerConfig::default()
         },
         registry,
@@ -567,11 +568,7 @@ impl ReplFixture {
         let handle = Server::start_replicated(
             ServerConfig {
                 workers: 4,
-                coalesce: CoalesceConfig {
-                    window: Duration::from_micros(200),
-                    max_batch: 64,
-                    cap: 4096,
-                },
+                coalesce: coalesce_config(),
                 ..ServerConfig::default()
             },
             registry,
@@ -962,6 +959,7 @@ fn main() {
     let stats_text = admin.get("/stats").unwrap().text();
     let server_stats: Value = serde_json::from_str(&stats_text).unwrap();
 
+    let coalesce = coalesce_config();
     let report = Value::Map(vec![
         (
             "config".to_string(),
@@ -976,7 +974,11 @@ fn main() {
                     Value::UInt(if args.quick { 1_000 } else { 4_000 }),
                 ),
                 ("workers".to_string(), Value::UInt(6)),
-                ("coalesce_window_us".to_string(), Value::UInt(200)),
+                (
+                    "coalesce_max_batch".to_string(),
+                    Value::UInt(coalesce.max_batch as u64),
+                ),
+                ("coalesce_cap".to_string(), Value::UInt(coalesce.cap as u64)),
                 ("clients".to_string(), Value::UInt(clients as u64)),
                 ("quick".to_string(), Value::Bool(args.quick)),
             ]),

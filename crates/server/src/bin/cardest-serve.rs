@@ -21,7 +21,6 @@ use cardest_core::update::{UpdatableGl, UpdateConfig};
 use cardest_data::cache;
 use cardest_data::paper::PaperDataset;
 use cardest_data::workload::SearchWorkload;
-use cardest_server::coalesce::CoalesceConfig;
 use cardest_server::model::repr_of;
 use cardest_server::{
     IngestService, ModelRegistry, RegistryConfig, ReplicationState, Server, ServerConfig,
@@ -35,7 +34,6 @@ use cardest_store::{DurableIngest, StoreConfig};
 use std::io::Write;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
 
 struct Args {
     dataset: PaperDataset,
@@ -47,7 +45,6 @@ struct Args {
     train_epochs: Option<usize>,
     model_dir: PathBuf,
     cache_dir: PathBuf,
-    coalesce_window_us: u64,
     mutable: bool,
     store_dir: PathBuf,
     replication_listen: Option<String>,
@@ -57,7 +54,7 @@ struct Args {
 
 const USAGE: &str = "usage: cardest-serve [--dataset NAME] [--port P] [--workers N] \
 [--seed S] [--n-data N] [--train-queries N] [--train-epochs N] \
-[--model-dir DIR] [--cache-dir DIR] [--coalesce-window-us U] \
+[--model-dir DIR] [--cache-dir DIR] \
 [--mutable] [--store-dir DIR] \
 [--replication-listen ADDR] [--replicate-from ADDR] [--primary-url URL]";
 
@@ -72,7 +69,6 @@ fn parse_args() -> Result<Args, String> {
         train_epochs: None,
         model_dir: PathBuf::from(".cardest-serve/models"),
         cache_dir: PathBuf::from(".cardest-serve/cache"),
-        coalesce_window_us: 500,
         mutable: false,
         store_dir: PathBuf::from(".cardest-serve/store"),
         replication_listen: None,
@@ -103,10 +99,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--model-dir" => args.model_dir = PathBuf::from(value("--model-dir")?),
             "--cache-dir" => args.cache_dir = PathBuf::from(value("--cache-dir")?),
-            "--coalesce-window-us" => {
-                args.coalesce_window_us =
-                    parse_num(&value("--coalesce-window-us")?, "--coalesce-window-us")?
-            }
             "--mutable" => args.mutable = true,
             "--store-dir" => args.store_dir = PathBuf::from(value("--store-dir")?),
             "--replication-listen" => {
@@ -210,10 +202,6 @@ fn run() -> Result<(), String> {
         ServerConfig {
             addr: format!("127.0.0.1:{}", args.port),
             workers: args.workers,
-            coalesce: CoalesceConfig {
-                window: Duration::from_micros(args.coalesce_window_us),
-                ..CoalesceConfig::default()
-            },
             ..ServerConfig::default()
         },
         Arc::new(registry),
@@ -364,10 +352,6 @@ fn run_mutable(
         ServerConfig {
             addr: format!("127.0.0.1:{}", args.port),
             workers: args.workers,
-            coalesce: CoalesceConfig {
-                window: Duration::from_micros(args.coalesce_window_us),
-                ..CoalesceConfig::default()
-            },
             ..ServerConfig::default()
         },
         registry,

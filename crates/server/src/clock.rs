@@ -1,9 +1,8 @@
 //! The serving layer's single wall-clock access point.
 //!
-//! Latency histograms, coalescing windows, and socket deadlines are
-//! wall-clock by definition — nothing on the training path reads them, so
-//! the bit-reproducibility contract (`cardest-lint`'s `nondeterminism`
-//! rule) is unaffected. Keeping the one sanctioned `Instant::now()` here
+//! Latency histograms and socket deadlines are wall-clock by definition —
+//! nothing on the training path reads them, so the bit-reproducibility
+//! contract (`cardest-lint`'s `nondeterminism` rule) is unaffected. Keeping the one sanctioned `Instant::now()` here
 //! makes every other timing site grep-clean.
 
 use std::time::Instant;

@@ -1,13 +1,14 @@
-//! Request coalescing: single-query requests queue briefly and flush as
-//! one `estimate_batch` call.
+//! Request coalescing: single-query requests that queue up while the
+//! batcher is busy flush together as one `estimate_batch` call.
 //!
-//! The batched serving path amortizes per-call overhead (one guard pass,
-//! one monomorphized batch kernel), so under concurrent single-query load
-//! it is cheaper to hold each request for a sub-millisecond window and
-//! serve the accumulated queue in one `serve_batch` than to serve each
-//! alone. The trade is bounded, explicit latency: the *first* query in a
-//! window waits at most `window`; later arrivals wait less; a full batch
-//! flushes immediately.
+//! The coalescer is self-clocking. Whenever the batcher is free it serves
+//! whatever is queued, up to `max_batch`, at once, so a lone query is
+//! answered as soon as it arrives instead of waiting for batch-mates that
+//! may never come. Batches form only from queries that arrive while the
+//! previous batch is being served: batch size follows the offered load,
+//! one under light load and growing as the batcher saturates, which is
+//! when the batched serving path's amortized per-call overhead (one guard
+//! pass, one batched forward) pays.
 //!
 //! Admission control lives here too: the queue is bounded at `cap`, and a
 //! submit against a full queue fails fast with [`SubmitError::Overloaded`]
@@ -23,7 +24,6 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::clock;
 use crate::model::OwnedQuery;
 use crate::registry::ModelRegistry;
 use crate::stats::ServerStats;
@@ -31,9 +31,10 @@ use crate::stats::ServerStats;
 /// Tuning knobs for the coalescing queue.
 #[derive(Debug, Clone)]
 pub struct CoalesceConfig {
-    /// Longest a query waits for batch-mates before the flush.
+    /// Ignored: no query is held for batch-mates. The field remains only
+    /// for callers that record it with the rest of the config.
     pub window: Duration,
-    /// Flush immediately once this many queries are queued.
+    /// Most queries one flush serves.
     pub max_batch: usize,
     /// Queue bound — submits beyond this are rejected (admission control).
     pub cap: usize,
@@ -42,7 +43,7 @@ pub struct CoalesceConfig {
 impl Default for CoalesceConfig {
     fn default() -> Self {
         CoalesceConfig {
-            window: Duration::from_micros(500),
+            window: Duration::ZERO,
             max_batch: 64,
             cap: 1024,
         }
@@ -54,7 +55,7 @@ impl Default for CoalesceConfig {
 pub struct CoalesceReply {
     pub result: Result<f32, CardestError>,
     /// Generation that actually served the query (it may differ from the
-    /// generation active at submit time if a reload raced the window).
+    /// generation active at submit time if a reload raced the queue).
     pub model_version: u64,
 }
 
@@ -148,38 +149,23 @@ impl Coalescer {
     }
 
     fn run(&self) {
-        loop {
-            let batch = {
-                let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-                // Sleep until the first query (or shutdown) arrives.
-                while st.queue.is_empty() && !st.shutdown {
-                    st = self.wake.wait(st).unwrap_or_else(PoisonError::into_inner);
-                }
-                if st.queue.is_empty() && st.shutdown {
-                    return;
-                }
-                // First query seen: hold the window open for batch-mates,
-                // flushing early if the batch fills or shutdown begins.
-                let deadline = clock::now() + self.cfg.window;
-                while st.queue.len() < self.cfg.max_batch && !st.shutdown {
-                    let now = clock::now();
-                    if now >= deadline {
-                        break;
-                    }
-                    let (next, timed_out) = self
-                        .wake
-                        .wait_timeout(st, deadline - now)
-                        .unwrap_or_else(PoisonError::into_inner);
-                    st = next;
-                    if timed_out.timed_out() {
-                        break;
-                    }
-                }
-                let take = st.queue.len().min(self.cfg.max_batch);
-                st.queue.drain(..take).collect::<Vec<Pending>>()
-            };
+        while let Some(batch) = self.next_batch() {
             self.flush(batch);
         }
+    }
+
+    /// Blocks until a query is queued, then takes up to `max_batch` of
+    /// the queue. `None` once shutdown has drained the queue.
+    fn next_batch(&self) -> Option<Vec<Pending>> {
+        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        while st.queue.is_empty() && !st.shutdown {
+            st = self.wake.wait(st).unwrap_or_else(PoisonError::into_inner);
+        }
+        if st.queue.is_empty() {
+            return None;
+        }
+        let take = st.queue.len().min(self.cfg.max_batch);
+        Some(st.queue.drain(..take).collect())
     }
 
     fn flush(&self, batch: Vec<Pending>) {
@@ -220,5 +206,183 @@ impl Drop for Coalescer {
         // batcher so it can observe the flag and exit. (The batcher holds
         // its own Arc, so by the time Drop runs it has already exited.)
         self.shutdown();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::model::QueryRepr;
+    use crate::registry::{RegistryConfig, SharedFallback};
+    use cardest_baselines::mlp::{MlpConfig, MlpEstimator};
+    use cardest_baselines::sampling::SamplingEstimator;
+    use cardest_baselines::traits::TrainingSet;
+    use cardest_data::metric::Metric;
+    use cardest_data::paper::{DatasetSpec, PaperDataset};
+    use cardest_data::workload::SearchWorkload;
+    use std::sync::atomic::Ordering;
+    use std::sync::OnceLock;
+
+    const TAU: f32 = 0.3;
+    /// Bound on a reply that must arrive; only a broken batcher reaches it.
+    const PATIENCE: Duration = Duration::from_secs(60);
+
+    /// One tiny MLP behind every test: the queueing policy is under test,
+    /// not the model.
+    fn registry() -> Arc<ModelRegistry> {
+        static REGISTRY: OnceLock<Arc<ModelRegistry>> = OnceLock::new();
+        Arc::clone(REGISTRY.get_or_init(|| {
+            let spec = DatasetSpec {
+                dataset: PaperDataset::GloVe300,
+                dim: 8,
+                n_data: 200,
+                n_train_queries: 16,
+                n_test_queries: 4,
+                metric: Metric::Angular,
+                tau_max: 0.6,
+            };
+            let data = spec.generate(3);
+            let workload = SearchWorkload::build(&data, &spec, 3);
+            let mut cfg = MlpConfig::default();
+            cfg.train.epochs = 1;
+            let (model, _) = MlpEstimator::train(
+                &data,
+                spec.metric,
+                &TrainingSet::new(&workload.queries, &workload.train),
+                &cfg,
+                3,
+            );
+            let path = std::env::temp_dir().join(format!(
+                "cardest-coalesce-test-{}.cardest",
+                std::process::id()
+            ));
+            model.save_artifact(&path).unwrap();
+            let fallback: SharedFallback = Arc::new(SamplingEstimator::with_ratio(
+                &data,
+                spec.metric,
+                0.1,
+                3,
+                "Sampling 10%",
+            ));
+            let registry = ModelRegistry::new(
+                RegistryConfig {
+                    n_data: data.len(),
+                    dim: spec.dim,
+                    repr: QueryRepr::Dense,
+                    monotone: true,
+                },
+                fallback,
+                &path,
+            )
+            .unwrap();
+            std::fs::remove_file(&path).ok();
+            Arc::new(registry)
+        }))
+    }
+
+    fn coalescer(cfg: CoalesceConfig) -> (Arc<Coalescer>, Arc<ServerStats>) {
+        let stats = Arc::new(ServerStats::default());
+        (Coalescer::new(cfg, registry(), Arc::clone(&stats)), stats)
+    }
+
+    fn query(i: usize) -> OwnedQuery {
+        OwnedQuery::Dense((0..8).map(|j| ((i * 8 + j) as f32).sin()).collect())
+    }
+
+    fn submit_n(c: &Coalescer, n: usize) -> Vec<Receiver<CoalesceReply>> {
+        (0..n).map(|i| c.submit(query(i), TAU).unwrap()).collect()
+    }
+
+    /// (batches flushed, queries served, largest batch).
+    fn flushes(stats: &ServerStats) -> (u64, u64, u64) {
+        (
+            stats.coalesced_batches.load(Ordering::Relaxed),
+            stats.coalesced_queries.load(Ordering::Relaxed),
+            stats.coalesced_max_batch.load(Ordering::Relaxed),
+        )
+    }
+
+    /// The reply to one submit; a batcher that never answers fails the
+    /// test instead of hanging it.
+    fn reply(rx: &Receiver<CoalesceReply>) -> CoalesceReply {
+        rx.recv_timeout(PATIENCE).unwrap()
+    }
+
+    fn stop(c: &Coalescer, batcher: JoinHandle<()>) {
+        c.shutdown();
+        batcher.join().unwrap();
+    }
+
+    #[test]
+    fn a_queue_flushes_in_batches_of_at_most_max_batch() {
+        // (queued, flushes, largest flush): up to `max_batch` (64) is one
+        // flush; 100 is 64 + 36.
+        for (n, batches, largest) in [(1, 1, 1), (10, 1, 10), (64, 1, 64), (100, 2, 64)] {
+            let (c, stats) = coalescer(CoalesceConfig::default());
+            assert_eq!(c.config().max_batch, 64);
+            let replies = submit_n(&c, n as usize);
+            let batcher = c.spawn_batcher().unwrap();
+            for rx in &replies {
+                assert!(reply(rx).result.is_ok());
+            }
+            stop(&c, batcher);
+            assert_eq!(flushes(&stats), (batches, n, largest));
+        }
+    }
+
+    #[test]
+    fn every_accepted_submit_gets_exactly_one_reply_through_the_shutdown_drain() {
+        let (c, stats) = coalescer(CoalesceConfig {
+            max_batch: 4,
+            ..CoalesceConfig::default()
+        });
+        let replies = submit_n(&c, 10);
+        c.shutdown();
+        let batcher = c.spawn_batcher().unwrap();
+        for rx in &replies {
+            let r = reply(rx);
+            assert!(r.result.is_ok());
+            assert_eq!(r.model_version, 1);
+        }
+        batcher.join().unwrap();
+        for rx in &replies {
+            assert!(rx.recv().is_err(), "a second reply");
+        }
+        assert_eq!(flushes(&stats), (3, 10, 4));
+    }
+
+    #[test]
+    fn submits_past_cap_or_after_shutdown_are_refused() {
+        let (c, stats) = coalescer(CoalesceConfig {
+            cap: 3,
+            ..CoalesceConfig::default()
+        });
+        let replies = submit_n(&c, 3);
+        assert_eq!(c.submit(query(3), TAU).err(), Some(SubmitError::Overloaded));
+        assert_eq!(c.queued(), 3);
+        c.shutdown();
+        assert_eq!(
+            c.submit(query(4), TAU).err(),
+            Some(SubmitError::ShuttingDown)
+        );
+        let batcher = c.spawn_batcher().unwrap();
+        for rx in &replies {
+            reply(rx);
+        }
+        batcher.join().unwrap();
+        assert_eq!(flushes(&stats).1, 3);
+    }
+
+    #[test]
+    fn a_lone_query_is_served_without_waiting_for_a_batch_mate() {
+        let (c, stats) = coalescer(CoalesceConfig::default());
+        let batcher = c.spawn_batcher().unwrap();
+        for i in 0..3 {
+            // No batch-mate arrives and shutdown has not begun.
+            let rx = c.submit(query(i), TAU).unwrap();
+            assert!(reply(&rx).result.is_ok());
+        }
+        assert_eq!(flushes(&stats), (3, 3, 1));
+        stop(&c, batcher);
     }
 }

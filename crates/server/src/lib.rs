@@ -32,9 +32,10 @@
 //!   `GET /ready` and `POST /admin/promote`: a standby replays the
 //!   primary's WAL stream (`cardest_store::replicate`), serves read-only
 //!   estimates, and flips to writable without a restart,
-//! * [`coalesce`] — single-query requests queue briefly and flush as one
-//!   `estimate_batch` call (feeding the PR 1 batched path), with a
-//!   bounded queue for admission control,
+//! * [`coalesce`] — single-query requests are served as soon as the
+//!   batcher is free, and those that queue up behind a busy batcher flush
+//!   together as one `estimate_batch` call on the batched serving path,
+//!   with a bounded queue for admission control,
 //! * [`stats`] — lock-free per-route latency histograms and serving
 //!   counters behind `GET /stats`,
 //! * [`server`] — the `TcpListener` + fixed worker-thread pool tying it

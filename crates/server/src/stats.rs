@@ -1,20 +1,41 @@
 //! Lock-free serving metrics: per-route latency histograms and HTTP
 //! outcome counters.
 //!
-//! Latencies land in power-of-two microsecond buckets (`[2^k, 2^(k+1))`),
-//! so recording is one atomic increment and quantiles come from a bucket
-//! scan — coarse (upper-edge, 2× resolution) but allocation-free and safe
-//! to read while every worker is writing. The load generator computes its
-//! exact percentiles client-side; these histograms are the *server's*
-//! always-on view at `GET /stats`.
+//! Latencies land in log-linear microsecond buckets: every power of two
+//! `[2^k, 2^(k+1))` splits into 8 equal sub-buckets, and values below 16
+//! get a bucket each. A bucket is at most an eighth as wide as its lower
+//! edge, so a quantile read off it (the bucket's largest value) is at
+//! most 12.5% above the true value. Recording is one relaxed atomic
+//! increment of the bucket, and quantiles come from a bucket scan —
+//! allocation-free and safe to read while every worker is writing. The
+//! load generator computes its exact percentiles client-side; these
+//! histograms are the *server's* always-on view at `GET /stats`.
 
 use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Number of power-of-two buckets: covers up to ~2^39 µs (~6 days).
-const BUCKETS: usize = 40;
+/// log2 of the linear sub-buckets per power of two.
+const SUB_BITS: u32 = 3;
+const SUB: usize = 1 << SUB_BITS;
+/// Values `0..SUB` get a bucket each; every power of two from `2^SUB_BITS`
+/// up to `2^63` gets `SUB`, so all of `u64` is covered.
+const BUCKETS: usize = SUB + (u64::BITS - SUB_BITS) as usize * SUB;
 
-/// A histogram of microsecond latencies in power-of-two buckets.
+/// Bucket holding `us`: `shift` is how many low bits a sub-bucket spans,
+/// and `us >> shift` (in `SUB..2*SUB` once `shift > 0`) picks the
+/// sub-bucket.
+fn bucket_of(us: u64) -> usize {
+    let shift = (u64::BITS - us.leading_zeros()).saturating_sub(SUB_BITS + 1);
+    shift as usize * SUB + (us >> shift) as usize
+}
+
+/// Largest value bucket `idx` holds (the inverse of [`bucket_of`]).
+fn bucket_max(idx: usize) -> u64 {
+    let shift = (idx / SUB).saturating_sub(1);
+    (((idx - shift * SUB) as u64) << shift) | ((1u64 << shift) - 1)
+}
+
+/// A histogram of microsecond latencies in log-linear buckets.
 pub struct LatencyHistogram {
     buckets: [AtomicU64; BUCKETS],
     count: AtomicU64,
@@ -36,14 +57,15 @@ impl Default for LatencyHistogram {
 impl LatencyHistogram {
     /// Records one observation.
     pub fn record(&self, us: u64) {
-        let idx = (64 - us.leading_zeros() as usize).min(BUCKETS - 1);
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
+        self.buckets[bucket_of(us)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum_us.fetch_add(us, Ordering::Relaxed);
         self.max_us.fetch_max(us, Ordering::Relaxed);
     }
 
-    /// Upper edge (µs) of the bucket containing quantile `q` ∈ [0, 1].
+    /// Largest value (µs) of the bucket containing quantile `q` ∈ [0, 1]:
+    /// at least the true quantile and at most 12.5% above it. A
+    /// sub-microsecond quantile reads 1, since 0 means "no observations".
     pub fn quantile_us(&self, q: f64) -> u64 {
         let total = self.count.load(Ordering::Relaxed);
         if total == 0 {
@@ -54,8 +76,7 @@ impl LatencyHistogram {
         for (idx, b) in self.buckets.iter().enumerate() {
             seen += b.load(Ordering::Relaxed);
             if seen >= target {
-                // Bucket idx holds values in [2^(idx-1), 2^idx).
-                return 1u64 << idx;
+                return bucket_max(idx).max(1);
             }
         }
         self.max_us.load(Ordering::Relaxed)
@@ -206,16 +227,65 @@ mod tests {
         let h = LatencyHistogram::default();
         assert_eq!(h.quantile_us(0.5), 0, "empty histogram answers 0");
         for _ in 0..99 {
-            h.record(100); // bucket [64, 128) → edge 128
+            h.record(100); // bucket [96, 104) → 103
         }
-        h.record(100_000); // bucket edge 131072
+        h.record(100_000); // bucket [98304, 106496) → 106495
         let s = h.snapshot();
         assert_eq!(s.count, 100);
-        assert_eq!(s.p50_us, 128);
-        assert_eq!(s.p99_us, 128);
-        assert_eq!(h.quantile_us(1.0), 131_072);
+        assert_eq!(s.p50_us, 103);
+        assert_eq!(s.p99_us, 103);
+        assert_eq!(h.quantile_us(1.0), 106_495);
         assert_eq!(s.max_us, 100_000);
         assert!((s.mean_us - (99.0 * 100.0 + 100_000.0) / 100.0).abs() < 1e-9);
+    }
+
+    /// `truth <= read <= truth * 1.125`, in integers.
+    fn within_an_eighth_above(read: u64, truth: u64) -> bool {
+        truth <= read && read - truth <= truth / 8
+    }
+
+    #[test]
+    fn quantiles_stay_within_an_eighth_above_the_truth_across_the_range() {
+        // Both edges of every power of two, a point inside it, and the top.
+        let mut values: Vec<u64> = (1..64)
+            .flat_map(|k| {
+                let p = 1u64 << k;
+                [p - 1, p, p + 1, p + p / 3]
+            })
+            .collect();
+        values.push(u64::MAX);
+        for &v in &values {
+            let h = LatencyHistogram::default();
+            h.record(v);
+            let read = h.quantile_us(0.5);
+            assert!(within_an_eighth_above(read, v), "{v} µs reads as {read}");
+        }
+        // Every percentile of a spread that walks the range in ~15% steps.
+        let h = LatencyHistogram::default();
+        let mut truth = Vec::new();
+        let mut v = 1u64;
+        while v < u64::MAX / 2 {
+            h.record(v);
+            truth.push(v);
+            v += v / 7 + 1;
+        }
+        for pct in 1..=100u32 {
+            let q = f64::from(pct) / 100.0;
+            let rank = ((truth.len() as f64 * q).ceil() as usize).max(1);
+            let (read, want) = (h.quantile_us(q), truth[rank - 1]);
+            assert!(
+                within_an_eighth_above(read, want),
+                "p{pct}: {want} µs reads as {read}"
+            );
+        }
+    }
+
+    #[test]
+    fn bucket_of_and_bucket_max_invert_each_other() {
+        for idx in 0..BUCKETS {
+            assert_eq!(bucket_of(bucket_max(idx)), idx);
+        }
+        assert_eq!(bucket_of(u64::MAX), BUCKETS - 1);
     }
 
     #[test]

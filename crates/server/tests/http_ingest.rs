@@ -15,7 +15,6 @@ use cardest_data::vector::VectorView;
 use cardest_data::workload::SearchWorkload;
 use cardest_nn::trainer::TrainConfig;
 use cardest_server::client::HttpClient;
-use cardest_server::coalesce::CoalesceConfig;
 use cardest_server::model::QueryRepr;
 use cardest_server::registry::SharedFallback;
 use cardest_server::{
@@ -138,10 +137,6 @@ impl IngestFixture {
         let handle = Server::start_with_ingest(
             ServerConfig {
                 workers: 3,
-                coalesce: CoalesceConfig {
-                    window: Duration::from_micros(200),
-                    ..CoalesceConfig::default()
-                },
                 ..ServerConfig::default()
             },
             Arc::new(registry),

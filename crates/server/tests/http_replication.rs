@@ -19,7 +19,6 @@ use cardest_data::vector::VectorView;
 use cardest_data::workload::SearchWorkload;
 use cardest_nn::trainer::TrainConfig;
 use cardest_server::client::HttpClient;
-use cardest_server::coalesce::CoalesceConfig;
 use cardest_server::model::QueryRepr;
 use cardest_server::registry::SharedFallback;
 use cardest_server::{
@@ -187,10 +186,6 @@ impl Node {
         let handle = Server::start_replicated(
             ServerConfig {
                 workers: 2,
-                coalesce: CoalesceConfig {
-                    window: Duration::from_micros(200),
-                    ..CoalesceConfig::default()
-                },
                 ..ServerConfig::default()
             },
             Arc::clone(&self.registry),

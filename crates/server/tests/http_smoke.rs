@@ -15,7 +15,6 @@ use cardest_data::metric::Metric;
 use cardest_data::paper::{DatasetSpec, PaperDataset};
 use cardest_data::workload::SearchWorkload;
 use cardest_server::client::HttpClient;
-use cardest_server::coalesce::CoalesceConfig;
 use cardest_server::model::repr_of;
 use cardest_server::registry::SharedFallback;
 use cardest_server::{ModelRegistry, RegistryConfig, Server, ServerConfig, ServerHandle};
@@ -87,10 +86,6 @@ impl ServerFixture {
         let handle = Server::start(
             ServerConfig {
                 workers: 3,
-                coalesce: CoalesceConfig {
-                    window: Duration::from_micros(200),
-                    ..CoalesceConfig::default()
-                },
                 ..ServerConfig::default()
             },
             Arc::new(registry),
