@@ -1,6 +1,3 @@
-// The workspace is 100% safe Rust; `cardest-lint` (unsafe-block rule) and
-// this forbid cross-check each other.
-#![forbid(unsafe_code)]
 //! Experiment harness CLI.
 //!
 //! ```text

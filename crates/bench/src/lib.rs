@@ -1,6 +1,3 @@
-// The workspace is 100% safe Rust; `cardest-lint` (unsafe-block rule) and
-// this forbid cross-check each other.
-#![forbid(unsafe_code)]
 //! # cardest-bench
 //!
 //! Experiment harness regenerating every table and figure of the paper's

@@ -551,9 +551,9 @@ fn finetune_gl_step(
             continue; // cap active: no gradient flows
         }
         let g_o = g_total * uncapped;
-        // cardest-lint: allow(panic-path): the routing pass de-duplicates segments; a second take would alias a local model
+        // cardest-lint: allow(serving-panic-reachability): the routing pass de-duplicates segments; a second take would alias a local model
         let local = slots[seg].take().expect("segment routed at most once");
-        // cardest-lint: allow(panic-path): the routing pass de-duplicates segments; a second take would alias a local model
+        // cardest-lint: allow(serving-panic-reachability): the routing pass de-duplicates segments; a second take would alias a local model
         let opt = opt_slots[seg].take().expect("segment routed at most once");
         jobs.push((seg, (local, opt, routed.len(), g_o), routed.len()));
     }

@@ -1,10 +1,9 @@
 // Library (non-test) code must not panic on malformed input: surface
 // typed errors instead. Tests may unwrap freely.
-// The workspace is 100% safe Rust; `cardest-lint` (unsafe-block rule) and
-// this forbid cross-check each other.
-#![forbid(unsafe_code)]
-#![warn(clippy::unwrap_used, clippy::expect_used)]
-#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![warn(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(test, allow(clippy::unreachable, clippy::todo, clippy::unimplemented))]
 
 //! # cardest-core
 //!

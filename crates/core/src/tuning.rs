@@ -114,20 +114,15 @@ fn candidate_specs(rng: &mut StdRng, in_len: usize) -> Option<ConvSpec> {
     let kernel = *kernels.choose(rng)?;
     let stride = *[kernel, (kernel / 2).max(1), 1]
         .choose(rng)
-        // cardest-lint: allow(panic-path): choose() on a non-empty literal array cannot return None
         .expect("non-empty stride candidates");
     let spec = ConvSpec {
-        // cardest-lint: allow(panic-path): choose() on a non-empty literal array cannot return None
         out_channels: *[2usize, 4, 8].choose(rng).expect("non-empty"),
         kernel,
         stride,
-        // cardest-lint: allow(panic-path): choose() on a non-empty literal array cannot return None
         padding: *[0usize, kernel / 2].choose(rng).expect("non-empty"),
-        // cardest-lint: allow(panic-path): choose() on a non-empty literal array cannot return None
         pool_size: *[1usize, 2, 4].choose(rng).expect("non-empty"),
         pool: *[PoolOp::Max, PoolOp::Avg, PoolOp::Sum]
             .choose(rng)
-            // cardest-lint: allow(panic-path): choose() on a non-empty literal array cannot return None
             .expect("non-empty"),
     };
     Conv1d::spec_fits(in_len, &spec).then_some(spec)

@@ -331,7 +331,7 @@ impl UpdatableGl {
         let jobs: Vec<_> = seg_chosen
             .into_iter()
             .map(|(seg, chosen)| {
-                // cardest-lint: allow(panic-path): the `affected` list is de-duplicated; a second take would alias a local model
+                // cardest-lint: allow(serving-panic-reachability): the `affected` list is de-duplicated; a second take would alias a local model
                 let local = slots[seg].take().expect("affected segments are unique");
                 let weight = chosen.len();
                 (seg, (local, chosen), weight)

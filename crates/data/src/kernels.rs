@@ -1,3 +1,7 @@
+// The kernels are IEEE-exact: an `as` cast that can lose precision needs
+// a fn-level allow that states why it is exact.
+#![cfg_attr(not(test), warn(clippy::as_conversions))]
+
 //! Shared slice-level distance kernels.
 //!
 //! Every metric in [`crate::metric`] reduces to a handful of dense `f32`
@@ -198,12 +202,13 @@ pub fn popcount_words(u: &[u64]) -> u32 {
 }
 
 /// Expands `dim` packed bits into 0.0/1.0 floats, reusing `buf`.
+// Each `bit` is 0 or 1, so the u64→f32 cast is exact.
+#[allow(clippy::as_conversions)]
 pub fn expand_bits_into(words: &[u64], dim: usize, buf: &mut Vec<f32>) {
     buf.clear();
     buf.reserve(dim);
     for j in 0..dim {
         let bit = (words[j / 64] >> (j % 64)) & 1;
-        // cardest-lint: allow(kernel-hygiene): bit is 0 or 1; the u64→f32 cast is exact
         buf.push(bit as f32);
     }
 }

@@ -238,6 +238,9 @@ impl VectorData {
     ///
     /// # Panics
     /// Panics if the view's representation or dimension does not match.
+    // Mixing representations is a caller-contract violation with no
+    // recoverable meaning.
+    #[allow(clippy::panic)]
     pub fn push_view(&mut self, v: VectorView<'_>) {
         match (self, v) {
             (VectorData::Dense(a), VectorView::Dense(row)) => a.push(row),
@@ -246,7 +249,7 @@ impl VectorData {
                 assert_eq!(words.len(), a.words_per_vec, "word count mismatch");
                 a.words.extend_from_slice(words);
             }
-            // cardest-lint: allow(panic-path): mixing representations is a caller-contract violation with no recoverable meaning
+            // cardest-lint: allow(serving-panic-reachability): mixing representations is a caller-contract violation with no recoverable meaning
             _ => panic!("cannot push a mismatched vector representation"),
         }
     }
@@ -255,6 +258,9 @@ impl VectorData {
     ///
     /// # Panics
     /// Panics if the kinds or dimensions differ.
+    // Mixing representations is a caller-contract violation with no
+    // recoverable meaning.
+    #[allow(clippy::panic)]
     pub fn extend_from(&mut self, other: &VectorData) {
         match (self, other) {
             (VectorData::Dense(a), VectorData::Dense(b)) => {
@@ -265,7 +271,6 @@ impl VectorData {
                 assert_eq!(a.dim(), b.dim(), "dimension mismatch");
                 a.words.extend_from_slice(&b.words);
             }
-            // cardest-lint: allow(panic-path): mixing representations is a caller-contract violation with no recoverable meaning
             _ => panic!("cannot mix dense and binary collections"),
         }
     }

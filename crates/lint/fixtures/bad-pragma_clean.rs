@@ -1,7 +1,7 @@
 // cardest-lint-fixture: path=crates/data/src/cache.rs
 //! Must-not-fire fixture: well-formed pragmas (known rule + reason).
 
-pub fn f(v: Option<u32>) -> u32 {
-    // cardest-lint: allow(panic-path): caller guarantees Some by construction
-    v.unwrap()
+pub fn f(x: f32) -> bool {
+    // cardest-lint: allow(float-total-order): exact zero skip of no-op work
+    x == 0.0
 }

@@ -1,10 +1,6 @@
 // cardest-lint-fixture: path=crates/data/src/stats.rs
-//! Must-not-fire fixture: total_cmp ordering, tolerance compares, exact
-//! equality in tests, and a justified exact-zero allow.
-
-pub fn sort_desc(vals: &mut [f32]) {
-    vals.sort_by(|a, b| b.total_cmp(a));
-}
+//! Must-not-fire fixture: tolerance compares, exact equality in tests,
+//! and a justified exact-zero allow.
 
 pub fn close(x: f32, y: f32) -> bool {
     (x - y).abs() < 1e-6

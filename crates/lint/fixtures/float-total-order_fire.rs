@@ -1,19 +1,10 @@
 // cardest-lint-fixture: path=crates/data/src/stats.rs
-//! Must-fire fixture: NaN-panicking sort and exact float equality.
-
-pub fn sort_desc(vals: &mut [f32]) {
-    vals.sort_by(|a, b| b.partial_cmp(a).unwrap());
-}
+//! Must-fire fixture: exact float equality against a literal.
 
 pub fn is_unit(x: f32) -> bool {
     x == 1.0
 }
 
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn partial_cmp_unwrap_fires_even_in_tests() {
-        let mut v = [1.0f32, 2.0];
-        v.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    }
+pub fn nonzero(x: f32) -> bool {
+    -0.5 != x
 }

@@ -1,7 +1,7 @@
 // cardest-lint-fixture: path=crates/server/src/fixture_handler.rs
 //! Must-not-fire: the same call shape, but every serving-reachable step
-//! degrades with a typed error; the only `unwrap` lives in a test, which
-//! is never a serving entry point.
+//! degrades with a typed error or carries a reasoned pragma; the only
+//! `unwrap` lives in a test, which is never a serving entry point.
 
 pub enum DecodeError {
     Empty,
@@ -24,7 +24,9 @@ fn parse_len(body: &[u8]) -> Result<u32, DecodeError> {
 }
 
 fn render(q: u32) -> Vec<u8> {
-    q.to_le_bytes().to_vec()
+    let out = Some(q.to_le_bytes().to_vec());
+    // cardest-lint: allow(serving-panic-reachability): `out` is Some one line up
+    out.expect("rendered")
 }
 
 #[cfg(test)]

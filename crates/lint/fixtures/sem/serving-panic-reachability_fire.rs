@@ -1,6 +1,7 @@
 // cardest-lint-fixture: path=crates/server/src/fixture_handler.rs
-//! Must-fire: a handler entry point reaches an `unwrap()` (and friends)
-//! two calls deep; the diagnostic must carry the witness path.
+//! Must-fire: a handler entry point reaches an `unwrap()` two calls deep
+//! and a `panic!` one call deep; the diagnostic must carry the witness
+//! path.
 
 pub fn handle_estimate(body: &[u8]) -> Vec<u8> {
     let q = decode(body);
@@ -18,5 +19,8 @@ fn parse_len(body: &[u8]) -> u32 {
 }
 
 fn render(q: u32) -> Vec<u8> {
+    if q == 0 {
+        panic!("empty estimate");
+    }
     q.to_le_bytes().to_vec()
 }

@@ -9,7 +9,7 @@
 //! (the seeded-bug negative test relies on this).
 //!
 //! The workflow: prefer fixing or pragma-annotating a finding; when a
-//! finding must be deferred, run `cardest-lint --semantic
+//! finding must be deferred, run `cardest-lint
 //! --write-baseline=crates/lint/baseline.txt crates` and commit the diff —
 //! every baseline entry is visible in review, like a pragma without a
 //! reason string (which is why an empty baseline is the healthy state).
@@ -89,7 +89,7 @@ impl Baseline {
         let mut s = String::from(
             "# cardest-lint baseline: accepted diagnostics, one per line as\n\
              # rule<TAB>file<TAB>function<TAB>kind<TAB>count\n\
-             # Regenerate: cargo run -p cardest-lint -- --semantic \
+             # Regenerate: cargo run -p cardest-lint -- \
              --write-baseline=crates/lint/baseline.txt crates\n",
         );
         for (k, c) in &self.counts {

@@ -107,7 +107,6 @@ pub fn lint_source(display_path: &str, src: &str) -> Report {
         display_path: display_path.to_string(),
         toks: &lexed.toks,
         in_test: &in_test,
-        comments: &lexed.comments,
     };
 
     let mut diags: Vec<Diagnostic> = Vec::new();
@@ -494,29 +493,29 @@ mod tests {
     #[test]
     fn suppression_requires_matching_rule_and_line() {
         let path = "crates/data/src/x.rs";
-        let fire = "pub fn f(v: Option<u32>) -> u32 { v.unwrap() }\n";
+        let fire = "pub fn f(x: f32) -> bool { x == 0.0 }\n";
         assert_eq!(lint_source(path, fire).diagnostics.len(), 1);
 
-        let allowed = "pub fn f(v: Option<u32>) -> u32 {\n    \
-                       v.unwrap() // cardest-lint: allow(panic-path): caller checked is_some\n}\n";
+        let allowed = "pub fn f(x: f32) -> bool {\n    \
+                       x == 0.0 // cardest-lint: allow(float-total-order): exact zero skip\n}\n";
         let rep = lint_source(path, allowed);
         assert!(rep.is_clean(), "{:?}", rep.diagnostics);
         assert_eq!(rep.allows_used, 1);
 
-        let wrong_rule = "pub fn f(v: Option<u32>) -> u32 {\n    \
-                          v.unwrap() // cardest-lint: allow(unsafe-block): mismatched rule\n}\n";
+        let wrong_rule = "pub fn f(x: f32) -> bool {\n    \
+                          x == 0.0 // cardest-lint: allow(raw-exp-decode): mismatched rule\n}\n";
         assert_eq!(lint_source(path, wrong_rule).diagnostics.len(), 1);
     }
 
     #[test]
     fn reasonless_allow_is_a_bad_pragma_and_does_not_suppress() {
         let path = "crates/data/src/x.rs";
-        let src = "pub fn f(v: Option<u32>) -> u32 {\n    \
-                   v.unwrap() // cardest-lint: allow(panic-path)\n}\n";
+        let src = "pub fn f(x: f32) -> bool {\n    \
+                   x == 0.0 // cardest-lint: allow(float-total-order)\n}\n";
         let rep = lint_source(path, src);
         let rules_hit: Vec<&str> = rep.diagnostics.iter().map(|d| d.rule).collect();
         assert!(rules_hit.contains(&"bad-pragma"));
-        assert!(rules_hit.contains(&"panic-path"));
+        assert!(rules_hit.contains(&"float-total-order"));
     }
 
     #[test]
@@ -525,7 +524,7 @@ mod tests {
             diagnostics: vec![Diagnostic {
                 file: "a\"b.rs".to_string(),
                 line: 3,
-                rule: "panic-path",
+                rule: "float-total-order",
                 message: "tab\there".to_string(),
                 ..Diagnostic::default()
             }],

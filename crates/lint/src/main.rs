@@ -1,12 +1,13 @@
 // Mirror the library's self-discipline in the binary crate root.
-#![forbid(unsafe_code)]
-#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![warn(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
-//! `cardest-lint` CLI: `cardest-lint [--format=text|json] [--semantic]
+//! `cardest-lint` CLI: `cardest-lint [--format=text|json]
 //! [--baseline=FILE] [--write-baseline=FILE] [--report=FILE]
-//! [--list-rules] [paths...]`. Paths default to `crates`. Exit code 0
-//! means no diagnostics, 1 means violations were found, 2 means usage or
-//! I/O error.
+//! [--list-rules] [paths...]`. Runs the lexical rules and the semantic
+//! (call-graph) pass. Paths default to `crates`. Exit code 0 means no
+//! diagnostics, 1 means violations were found, 2 means usage or I/O
+//! error.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -21,7 +22,6 @@ enum Format {
 
 fn main() -> ExitCode {
     let mut format = Format::Text;
-    let mut semantic = false;
     let mut baseline_path: Option<PathBuf> = None;
     let mut write_baseline: Option<PathBuf> = None;
     let mut report_path: Option<PathBuf> = None;
@@ -30,7 +30,6 @@ fn main() -> ExitCode {
         match arg.as_str() {
             "--format=text" => format = Format::Text,
             "--format=json" | "--json" => format = Format::Json,
-            "--semantic" => semantic = true,
             "--list-rules" => {
                 for r in rules::registry() {
                     println!("{:26} {}", r.id, r.summary);
@@ -40,7 +39,7 @@ fn main() -> ExitCode {
                     rules::BAD_PRAGMA
                 );
                 for (id, summary) in semrules::semantic_registry() {
-                    println!("{id:26} {summary} (semantic, --semantic)");
+                    println!("{id:26} {summary} (semantic)");
                 }
                 return ExitCode::SUCCESS;
             }
@@ -69,27 +68,20 @@ fn main() -> ExitCode {
         paths.push(PathBuf::from("crates"));
     }
 
-    let mut report = match engine::lint_paths(&paths) {
+    let linted = engine::lint_paths(&paths)
+        .and_then(|lexical| Ok((lexical, engine::lint_paths_semantic(&paths)?)));
+    let (mut report, sem) = match linted {
         Ok(r) => r,
         Err(e) => {
             eprintln!("cardest-lint: {e}");
             return ExitCode::from(2);
         }
     };
-    if semantic {
-        let sem = match engine::lint_paths_semantic(&paths) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("cardest-lint: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        report.diagnostics.extend(sem.diagnostics);
-        report.allows_used += sem.allows_used;
-        report
-            .diagnostics
-            .sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
-    }
+    report.diagnostics.extend(sem.diagnostics);
+    report.allows_used += sem.allows_used;
+    report
+        .diagnostics
+        .sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
 
     if let Some(p) = &write_baseline {
         let base = Baseline::from_diags(&report.diagnostics);
@@ -164,14 +156,13 @@ fn print_help() {
          USAGE: cardest-lint [OPTIONS] [paths...]\n\n\
          OPTIONS:\n\
          \x20   --format=text|json   output format (--json is shorthand)\n\
-         \x20   --semantic           also run the call-graph rules (panic\n\
-         \x20                        reachability, lock discipline, durability,\n\
-         \x20                        error taxonomy)\n\
          \x20   --baseline=FILE      subtract the checked-in baseline; only\n\
          \x20                        new diagnostics fail the run\n\
          \x20   --write-baseline=FILE  accept current diagnostics as baseline\n\
          \x20   --report=FILE        also write the JSON report to FILE\n\
          \x20   --list-rules         print the rule catalogue\n\n\
+         Runs the lexical rules and the call-graph rules (panic reachability,\n\
+         lock discipline, durability, error taxonomy) over the whole file set.\n\
          Paths default to `crates`. Directories are walked recursively for\n\
          .rs files (skipping target/, fixtures/, and hidden directories).\n\
          Suppress a diagnostic with an inline pragma carrying a reason:\n\n\

@@ -20,7 +20,7 @@
 //! ```
 //!
 //! which makes the linter scope the file as if it lived at that path, so
-//! path-scoped rules (kernel hygiene, approved decode files) can be
+//! path-scoped rules (library crates, approved decode files) can be
 //! exercised by self-tests without touching the real tree.
 
 use crate::lexer::{Comment, Tok};
@@ -138,12 +138,12 @@ mod tests {
 
     #[test]
     fn trailing_pragma_targets_its_own_line() {
-        let src = "let x = v.unwrap(); // cardest-lint: allow(panic-path): invariant documented\n";
+        let src = "let x = v == 0.0; // cardest-lint: allow(float-total-order): exact zero\n";
         let p = pragmas(src);
         assert_eq!(p.allows.len(), 1);
         assert_eq!(p.allows[0].target_line, 1);
-        assert_eq!(p.allows[0].rules, vec!["panic-path"]);
-        assert_eq!(p.allows[0].reason, "invariant documented");
+        assert_eq!(p.allows[0].rules, vec!["float-total-order"]);
+        assert_eq!(p.allows[0].reason, "exact zero");
     }
 
     #[test]

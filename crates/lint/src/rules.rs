@@ -3,26 +3,21 @@
 //! Each rule is a lexical check over one file's token stream, scoped by
 //! path (which crate, which file) and by test-ness (tokens inside
 //! `#[cfg(test)]` / `#[test]` items, and whole files under `tests/`,
-//! `benches/`, or `examples/`, are exempt from most rules). The rules
-//! encode invariants earlier PRs established by hand:
+//! `benches/`, or `examples/`, are exempt). The rules keep only the
+//! invariants rustc and clippy cannot express (DESIGN.md §10 lists which
+//! checker enforces each one):
 //!
 //! * `nondeterminism` — bit-identical training for any `--train-threads`
-//!   (PR 2) forbids wall-clock and OS-seeded randomness in library code,
-//!   and hash-ordered containers anywhere order can leak into results.
+//!   forbids `Instant::now` in library code, and hash-ordered containers
+//!   anywhere order can leak into results. Clippy cannot scope these per
+//!   crate: the bench harness times with `Instant` legitimately.
 //! * `raw-exp-decode` — every log-cardinality decode goes through
-//!   `decode_log_card` (PR 3) so NaN/overflow clamp instead of poisoning
+//!   `decode_log_card` so NaN/overflow clamp instead of poisoning
 //!   Q-errors.
-//! * `float-total-order` — `partial_cmp(..).unwrap()` panics on NaN and
-//!   float `==` is almost always a bug; use `total_cmp` / explicit
-//!   tolerance.
-//! * `panic-path` — library crates surface typed errors, never panics
-//!   (PR 3); the ~20 deliberate invariant-violation aborts carry pragmas.
-//! * `unsafe-block` — the workspace is 100% safe Rust today; any future
-//!   `unsafe` must carry a `// SAFETY:` comment.
-//! * `kernel-hygiene` — the GEMM and distance kernels are IEEE-exact
-//!   (PR 4); lossy `as` casts in those files need explicit justification.
+//! * `float-total-order` — float `==` / `!=` against a literal is
+//!   exact-bit equality and almost always a bug; compare with a tolerance.
 
-use crate::lexer::{Comment, Tok, TokKind};
+use crate::lexer::{Tok, TokKind};
 
 /// One reported violation.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -51,7 +46,6 @@ pub struct FileCtx<'a> {
     /// Parallel to `toks`: true for tokens inside `#[cfg(test)]` /
     /// `#[test]` items.
     pub in_test: &'a [bool],
-    pub comments: &'a [Comment],
 }
 
 impl FileCtx<'_> {
@@ -119,9 +113,6 @@ pub struct Rule {
 pub const NONDETERMINISM: &str = "nondeterminism";
 pub const RAW_EXP_DECODE: &str = "raw-exp-decode";
 pub const FLOAT_TOTAL_ORDER: &str = "float-total-order";
-pub const PANIC_PATH: &str = "panic-path";
-pub const UNSAFE_BLOCK: &str = "unsafe-block";
-pub const KERNEL_HYGIENE: &str = "kernel-hygiene";
 /// Meta-rule id for malformed / reason-less / unknown-rule pragmas,
 /// emitted by the engine rather than a registry check.
 pub const BAD_PRAGMA: &str = "bad-pragma";
@@ -131,8 +122,7 @@ pub fn registry() -> &'static [Rule] {
     &[
         Rule {
             id: NONDETERMINISM,
-            summary:
-                "no wall-clock time, OS-seeded RNGs, or hash-ordered containers in library crates",
+            summary: "no Instant::now or hash-ordered containers in library crates",
             check: check_nondeterminism,
         },
         Rule {
@@ -142,23 +132,8 @@ pub fn registry() -> &'static [Rule] {
         },
         Rule {
             id: FLOAT_TOTAL_ORDER,
-            summary: "no partial_cmp().unwrap() or float == literal in library code; use total_cmp",
+            summary: "no float == / != against a literal in library code; use a tolerance",
             check: check_float_total_order,
-        },
-        Rule {
-            id: PANIC_PATH,
-            summary: "no unwrap/expect/panic!/unreachable!/todo! in non-test library code",
-            check: check_panic_path,
-        },
-        Rule {
-            id: UNSAFE_BLOCK,
-            summary: "every unsafe block needs an adjacent // SAFETY: comment",
-            check: check_unsafe_block,
-        },
-        Rule {
-            id: KERNEL_HYGIENE,
-            summary: "no `as` numeric casts inside the IEEE-exact GEMM / distance kernel files",
-            check: check_kernel_hygiene,
         },
     ]
 }
@@ -183,29 +158,16 @@ fn check_nondeterminism(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
         if t.kind != TokKind::Ident || ctx.is_test_tok(i) {
             continue;
         }
-        let clock_call = (t.text == "SystemTime" || t.text == "Instant")
-            && ctx.punct_at(i + 1, "::")
-            && ctx.ident_at(i + 2, "now");
-        if clock_call {
-            out.push(ctx.diag(
-                NONDETERMINISM,
-                t.line,
-                format!(
-                    "`{}::now()` breaks bit-reproducible training; thread timing through the \
-                     bench harness or derive it from a seeded source",
-                    t.text
+        if t.text == "Instant" && ctx.punct_at(i + 1, "::") && ctx.ident_at(i + 2, "now") {
+            out.push(
+                ctx.diag(
+                    NONDETERMINISM,
+                    t.line,
+                    "`Instant::now()` breaks bit-reproducible training; thread timing through \
+                     the bench harness or derive it from a seeded source"
+                        .to_string(),
                 ),
-            ));
-        } else if t.text == "thread_rng" || t.text == "from_entropy" {
-            out.push(ctx.diag(
-                NONDETERMINISM,
-                t.line,
-                format!(
-                    "`{}` draws OS entropy; all randomness must flow through a caller-provided \
-                     seeded RNG (see cardest-nn's determinism contract)",
-                    t.text
-                ),
-            ));
+            );
         } else if t.text == "HashMap" || t.text == "HashSet" {
             out.push(ctx.diag(
                 NONDETERMINISM,
@@ -269,159 +231,30 @@ fn check_raw_exp_decode(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
 // ---------------------------------------------------------------------------
 
 fn check_float_total_order(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
-    if !ctx.is_lib_crate() {
-        return;
-    }
-    for (i, t) in ctx.toks.iter().enumerate() {
-        // `partial_cmp(..).unwrap()` is checked even inside test code: a
-        // NaN reaching such a sort panics the test harness instead of
-        // failing an assertion (this caught the max-pool margin probe).
-        if t.kind == TokKind::Ident && t.text == "partial_cmp" {
-            let panicky = (i + 1..i + 9).any(|j| {
-                ctx.code(j).is_some_and(|n| {
-                    n.kind == TokKind::Ident && (n.text == "unwrap" || n.text == "expect")
-                })
-            });
-            if panicky {
-                out.push(
-                    ctx.diag(
-                        FLOAT_TOTAL_ORDER,
-                        t.line,
-                        "`partial_cmp(..).unwrap()` panics on NaN; use `f32::total_cmp` for a \
-                     NaN-safe total order"
-                            .to_string(),
-                    ),
-                );
-            }
-        }
-        if ctx.is_test_tok(i) || ctx.file_is_testish() {
-            continue;
-        }
-        if t.kind == TokKind::Punct && (t.text == "==" || t.text == "!=") {
-            let prev_float = i
-                .checked_sub(1)
-                .and_then(|p| ctx.code(p))
-                .is_some_and(|p| p.kind == TokKind::Float);
-            let next_float = ctx.code(i + 1).is_some_and(|n| n.kind == TokKind::Float)
-                || (ctx.punct_at(i + 1, "-")
-                    && ctx.code(i + 2).is_some_and(|n| n.kind == TokKind::Float));
-            if prev_float || next_float {
-                out.push(ctx.diag(
-                    FLOAT_TOTAL_ORDER,
-                    t.line,
-                    format!(
-                        "float `{}` comparison against a literal is exact-bit equality; compare \
-                         with a tolerance, or allow with the IEEE-exactness argument as the \
-                         reason",
-                        t.text
-                    ),
-                ));
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// panic-path
-// ---------------------------------------------------------------------------
-
-const PANIC_MACROS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"];
-
-fn check_panic_path(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
     if !ctx.is_lib_crate() || ctx.file_is_testish() {
         return;
     }
     for (i, t) in ctx.toks.iter().enumerate() {
-        if t.kind != TokKind::Ident || ctx.is_test_tok(i) {
+        if ctx.is_test_tok(i) || t.kind != TokKind::Punct || (t.text != "==" && t.text != "!=") {
             continue;
         }
-        let is_method_call = |name: &str| {
-            t.text == name && i > 0 && ctx.punct_at(i - 1, ".") && ctx.punct_at(i + 1, "(")
-        };
-        if is_method_call("unwrap") || is_method_call("expect") {
+        let prev_float = i
+            .checked_sub(1)
+            .and_then(|p| ctx.code(p))
+            .is_some_and(|p| p.kind == TokKind::Float);
+        let next_float = ctx.code(i + 1).is_some_and(|n| n.kind == TokKind::Float)
+            || (ctx.punct_at(i + 1, "-")
+                && ctx.code(i + 2).is_some_and(|n| n.kind == TokKind::Float));
+        if prev_float || next_float {
             out.push(ctx.diag(
-                PANIC_PATH,
+                FLOAT_TOTAL_ORDER,
                 t.line,
                 format!(
-                    "`.{}()` in library code panics on malformed input; return a typed \
-                     `CardestError` instead, or allow with the invariant that makes this \
-                     unreachable as the reason",
+                    "float `{}` comparison against a literal is exact-bit equality; compare \
+                     with a tolerance, or allow with the IEEE-exactness argument as the reason",
                     t.text
                 ),
             ));
-        } else if PANIC_MACROS.contains(&t.text.as_str()) && ctx.punct_at(i + 1, "!") {
-            out.push(ctx.diag(
-                PANIC_PATH,
-                t.line,
-                format!(
-                    "`{}!` in library code aborts the caller; surface a typed error, or allow \
-                     with the invariant that makes this unreachable as the reason",
-                    t.text
-                ),
-            ));
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// unsafe-block
-// ---------------------------------------------------------------------------
-
-fn check_unsafe_block(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
-    for t in ctx.toks.iter() {
-        if t.kind != TokKind::Ident || t.text != "unsafe" {
-            continue;
-        }
-        let documented = ctx
-            .comments
-            .iter()
-            .any(|c| c.text.contains("SAFETY:") && c.end_line + 3 >= t.line && c.line <= t.line);
-        if !documented {
-            out.push(ctx.diag(
-                UNSAFE_BLOCK,
-                t.line,
-                "`unsafe` without an adjacent `// SAFETY:` comment; the workspace is 100% safe \
-                 Rust — new unsafe code must justify its soundness inline"
-                    .to_string(),
-            ));
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// kernel-hygiene
-// ---------------------------------------------------------------------------
-
-/// The IEEE-exactness contract of PR 4 covers these two files.
-const KERNEL_FILES: [&str; 2] = ["crates/nn/src/gemm.rs", "crates/data/src/kernels.rs"];
-
-const NUMERIC_TYPES: [&str; 15] = [
-    "f32", "f64", "i8", "i16", "i32", "i64", "i128", "isize", "u8", "u16", "u32", "u64", "u128",
-    "usize", "char",
-];
-
-fn check_kernel_hygiene(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
-    if !KERNEL_FILES.iter().any(|f| ctx.path.ends_with(f)) {
-        return;
-    }
-    for (i, t) in ctx.toks.iter().enumerate() {
-        if t.kind != TokKind::Ident || t.text != "as" || ctx.is_test_tok(i) {
-            continue;
-        }
-        let target = ctx.code(i + 1);
-        if let Some(ty) = target {
-            if ty.kind == TokKind::Ident && NUMERIC_TYPES.contains(&ty.text.as_str()) {
-                out.push(ctx.diag(
-                    KERNEL_HYGIENE,
-                    t.line,
-                    format!(
-                        "`as {}` cast inside an IEEE-exact kernel file can silently lose \
-                         precision; use `From`/`TryFrom`, hoist the cast out of the hot loop, \
-                         or allow with the losslessness argument as the reason",
-                        ty.text
-                    ),
-                ));
-            }
         }
     }
 }

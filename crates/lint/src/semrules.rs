@@ -8,8 +8,8 @@
 //!   loops) may `unwrap`/`expect`/`panic!`/`assert!` or index without
 //!   `get`; a panic there is a query-pipeline outage. Diagnostics carry a
 //!   witness path (`route_request -> handle_estimate -> parse_body`).
-//!   Sites under an `allow(panic-path)` pragma are documented invariant
-//!   aborts and are exempt.
+//!   Sites under an `allow(serving-panic-reachability)` pragma are
+//!   documented invariant aborts and are exempt.
 //! * [`LOCK_DISCIPLINE`] — per-function lock-acquisition summaries are
 //!   propagated over call edges to catch inconsistent lock-order pairs
 //!   (potential deadlock) and guards held across blocking operations
@@ -82,8 +82,9 @@ const FANOUT_CAP: usize = 4;
 
 /// Runs all semantic rules over the graph. Diagnostics are *not* yet
 /// pragma-suppressed (the engine applies `allow` pragmas afterwards),
-/// except for panic sites under `allow(panic-path)`, which are documented
-/// invariant aborts and never enter the reachability rule at all.
+/// except for panic sites under `allow(serving-panic-reachability)`,
+/// which are documented invariant aborts and never enter the
+/// reachability rule at all.
 pub fn check(graph: &Graph) -> Vec<Diagnostic> {
     let facts: Vec<Facts> = (0..graph.nodes.len())
         .map(|n| extract_facts(graph, n))
@@ -388,16 +389,13 @@ fn extract_facts(graph: &Graph, n: usize) -> Facts {
     f
 }
 
-/// Panic sites carrying an `allow(panic-path)` or
-/// `allow(serving-panic-reachability)` pragma are documented invariant
-/// aborts; they are filtered at fact level so reachability never reports
-/// them through a caller either.
+/// Panic sites carrying an `allow(serving-panic-reachability)` pragma are
+/// documented invariant aborts; they are filtered at fact level so
+/// reachability never reports them through a caller either.
 fn panic_site_allowed(file: &SourceFile, line: u32) -> bool {
-    file.allowed.get(&line).is_some_and(|rules| {
-        rules
-            .iter()
-            .any(|r| r == "panic-path" || r == SERVING_PANIC)
-    })
+    file.allowed
+        .get(&line)
+        .is_some_and(|rules| rules.iter().any(|r| r == SERVING_PANIC))
 }
 
 fn chain_matches(chain: &[String], pats: &[&str]) -> bool {

@@ -1,7 +1,7 @@
 //! The meta-gate: linting the live workspace from inside `cargo test`
 //! must report zero non-allowed diagnostics, so the determinism /
-//! numerics / panic-safety contracts are enforced even for contributors
-//! who never run `ci.sh`.
+//! numerics / serving contracts are enforced even for contributors who
+//! never run `ci.sh`.
 
 use std::path::PathBuf;
 
@@ -41,10 +41,10 @@ fn the_walk_actually_covers_the_workspace() {
         "only {} files scanned — walker is skipping too much",
         report.files_scanned
     );
-    // The ~44 documented allows (panic invariants, exact-zero compares,
-    // VAE exp math, LSH ordering) must all still be load-bearing.
+    // The 23 documented allows (exact-zero compares, VAE exp math, LSH
+    // ordering, the sanctioned clock) must all still be load-bearing.
     assert!(
-        report.allows_used >= 30,
+        report.allows_used >= 23,
         "only {} allow pragmas in effect — pragmas and violations drifted apart",
         report.allows_used
     );

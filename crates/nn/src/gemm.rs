@@ -1,3 +1,7 @@
+// The kernels are IEEE-exact: an `as` cast that can lose precision needs
+// a fn-level allow that states why it is exact.
+#![cfg_attr(not(test), warn(clippy::as_conversions))]
+
 //! Register-blocked GEMM kernels behind [`Matrix`](crate::tensor::Matrix)'s
 //! `matmul_*` methods.
 //!

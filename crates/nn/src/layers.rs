@@ -171,9 +171,9 @@ impl Dense {
     // cache `expect`s make that a panic rather than a silent wrong gradient.
     #[allow(clippy::expect_used)]
     fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        // cardest-lint: allow(panic-path): backward before forward is a Layer API-contract violation; abort beats a silent wrong gradient
+        // cardest-lint: allow(serving-panic-reachability): backward before forward is a Layer API-contract violation; abort beats a silent wrong gradient
         let x = self.cache_input.as_ref().expect("backward before forward");
-        // cardest-lint: allow(panic-path): backward before forward is a Layer API-contract violation; abort beats a silent wrong gradient
+        // cardest-lint: allow(serving-panic-reachability): backward before forward is a Layer API-contract violation; abort beats a silent wrong gradient
         let y = self.cache_output.as_ref().expect("backward before forward");
         // Pre-activation gradient.
         let mut g = grad_out.clone();
@@ -491,11 +491,11 @@ impl Conv1d {
     // Backward before forward is an API-contract violation (see Dense).
     #[allow(clippy::expect_used)]
     fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        // cardest-lint: allow(panic-path): backward before forward is a Layer API-contract violation; abort beats a silent wrong gradient
+        // cardest-lint: allow(serving-panic-reachability): backward before forward is a Layer API-contract violation; abort beats a silent wrong gradient
         let x = self.cache_input.as_ref().expect("backward before forward");
-        // cardest-lint: allow(panic-path): backward before forward is a Layer API-contract violation; abort beats a silent wrong gradient
+        // cardest-lint: allow(serving-panic-reachability): backward before forward is a Layer API-contract violation; abort beats a silent wrong gradient
         let conv = self.cache_conv.as_ref().expect("backward before forward");
-        // cardest-lint: allow(panic-path): backward before forward is a Layer API-contract violation; abort beats a silent wrong gradient
+        // cardest-lint: allow(serving-panic-reachability): backward before forward is a Layer API-contract violation; abort beats a silent wrong gradient
         let argmax = self.cache_argmax.as_ref().expect("backward before forward");
         let batch = x.rows();
         let conv_len = self.conv_len();
@@ -626,7 +626,7 @@ impl ShiftSigmoid {
     // Backward before forward is an API-contract violation (see Dense).
     #[allow(clippy::expect_used)]
     fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        // cardest-lint: allow(panic-path): backward before forward is a Layer API-contract violation; abort beats a silent wrong gradient
+        // cardest-lint: allow(serving-panic-reachability): backward before forward is a Layer API-contract violation; abort beats a silent wrong gradient
         let y = self.cache_output.as_ref().expect("backward before forward");
         let mut gx = grad_out.clone();
         for (g, p) in gx.as_mut_slice().iter_mut().zip(y.as_slice()) {

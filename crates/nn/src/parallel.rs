@@ -84,7 +84,6 @@ where
         for &i in &order {
             out[i] = Some(work(i, &mut scratch));
         }
-        // cardest-lint: allow(panic-path): every slot is filled by the loop above; a hole is a queue-logic bug worth aborting on
         return out.into_iter().map(|r| r.expect("job ran")).collect();
     }
     let cursor = AtomicUsize::new(0);
@@ -106,7 +105,6 @@ where
             .collect();
         handles
             .into_iter()
-            // cardest-lint: allow(panic-path): standard join() idiom — re-raise a worker panic on the caller thread
             .flat_map(|h| h.join().expect("parallel training worker panicked"))
             .collect()
     });
@@ -160,7 +158,7 @@ pub fn fan_exclusive<T: Send, R: Send>(
                 .collect();
             handles
                 .into_iter()
-                // cardest-lint: allow(panic-path): standard join() idiom — re-raise a worker panic on the caller thread
+                // cardest-lint: allow(serving-panic-reachability): standard join() idiom — re-raise a worker panic on the caller thread
                 .flat_map(|h| h.join().expect("fan_exclusive worker panicked"))
                 .collect()
         })

@@ -210,10 +210,12 @@ impl Matrix {
 
     /// Validated output shape of [`Matrix::hconcat`]; shared with the
     /// scratch-buffer variant so both check ragged inputs up front.
+    // A zero-part hconcat has no shape: a documented, regression-tested panic.
+    #[allow(clippy::panic)]
     fn hconcat_shape(parts: &[&Matrix]) -> (usize, usize) {
         let rows = parts
             .first()
-            // cardest-lint: allow(panic-path): zero-part hconcat has no shape; documented panic, regression-tested
+            // cardest-lint: allow(serving-panic-reachability): zero-part hconcat has no shape; documented panic, regression-tested
             .unwrap_or_else(|| panic!("hconcat of zero matrices has no defined shape"))
             .rows;
         for m in parts {

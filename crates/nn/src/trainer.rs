@@ -351,7 +351,7 @@ fn sharded_forward_backward(
         // One replica walks the shards in order; reducing after each shard
         // gives the same per-scalar association ((0 + c₀) + c₁) + … as the
         // parallel reduction below.
-        // cardest-lint: allow(panic-path): replicas has exactly `threads >= 1` entries by construction a few lines up
+        // cardest-lint: allow(serving-panic-reachability): replicas has exactly `threads >= 1` entries by construction a few lines up
         let (rep, _) = replicas.split_first_mut().expect("replica exists");
         let mut total = 0.0f64;
         for &(r0, r1) in &shards {
@@ -382,7 +382,7 @@ fn sharded_forward_backward(
             ));
         }
         for (w, h) in handles {
-            // cardest-lint: allow(panic-path): standard join() idiom — re-raise a worker panic on the caller thread
+            // cardest-lint: allow(serving-panic-reachability): standard join() idiom — re-raise a worker panic on the caller thread
             let losses = h.join().expect("gradient shard worker panicked");
             for (k, ls) in losses.into_iter().enumerate() {
                 shard_losses[w * per + k] = ls;

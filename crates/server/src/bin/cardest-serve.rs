@@ -1,3 +1,7 @@
+// Mirror the library's no-panic discipline in the binary crate root.
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![warn(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 //! `cardest-serve` — stand up the estimation service on a synthetic
 //! paper dataset.
 //!
@@ -5,7 +9,7 @@
 //! estimator if no artifact exists yet (subsequent runs reuse it), build
 //! the sampling fallback, and serve. `--port 0` binds an ephemeral port;
 //! the chosen address is announced on stdout as `LISTENING <addr>` so
-//! scripts (ci.sh's serve lane, the load generator) can find it.
+//! scripts (the smoke battery, the load generator) can find it.
 //!
 //! ```text
 //! cardest-serve --dataset GloVe300 --port 8080
@@ -208,7 +212,7 @@ fn run() -> Result<(), String> {
     )
     .map_err(|e| format!("bind server: {e}"))?;
 
-    // The exact line ci.sh and the load generator wait for.
+    // The exact line the smoke battery and the load generator wait for.
     println!("LISTENING {}", handle.addr());
     let _ = std::io::stdout().flush();
     eprintln!(

@@ -23,7 +23,6 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::clock;
 use crate::coalesce::{CoalesceConfig, Coalescer, SubmitError};
 use crate::http::{HttpConnection, HttpError, NextRequest, Request};
 use crate::ingest::IngestService;
@@ -31,7 +30,7 @@ use crate::model::OwnedQuery;
 use crate::registry::ModelRegistry;
 use crate::replicate::ReplicationState;
 use crate::stats::{Route, ServerStats};
-use cardest_store::StoreError;
+use cardest_store::{clock, StoreError};
 
 /// One routed response: status, JSON body, extra headers.
 type Reply = (u16, String, Vec<(String, String)>);

@@ -3,9 +3,8 @@
 //! a panic, a NaN, or a silently wrong artifact load.
 //!
 //! Faults are manufactured deterministically by `cardest_nn::faults`
-//! (seeded), so a failing run replays exactly. ci.sh runs this file as
-//! its own lane: a panic anywhere here is unambiguously a robustness
-//! regression.
+//! (seeded), so a failing run replays exactly. A panic anywhere here is
+//! unambiguously a robustness regression.
 
 use cardest::prelude::*;
 use cardest_nn::faults;
