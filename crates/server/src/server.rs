@@ -448,8 +448,7 @@ fn handle_estimate_batch(shared: &Shared, body: &[u8]) -> (u16, String) {
             .ok_or_else(|| "missing field `queries`".to_string())?
             .1
             .expect_seq("queries")
-            .map_err(|e| e.to_string())?
-            .to_vec();
+            .map_err(|e| e.to_string())?;
         entries
             .iter()
             .map(|e| parse_query_entry(e, "batch entry", shared))
@@ -869,7 +868,10 @@ fn handle_reload(shared: &Shared, body: &[u8]) -> (u16, String) {
             let map = v.expect_map("reload body").map_err(|e| e.to_string())?;
             match map.iter().find(|(k, _)| k == "path") {
                 Some((_, Value::Str(p))) => Ok(Some(std::path::PathBuf::from(p))),
-                Some((_, other)) => Err(format!("`path` must be a string, found {other:?}")),
+                Some((_, other)) => Err(format!(
+                    "`path` must be a string, found {}",
+                    other.describe()
+                )),
                 None => Ok(None),
             }
         }) {

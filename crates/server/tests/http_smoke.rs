@@ -209,6 +209,41 @@ fn smoke_battery_estimate_batch_errors_reload_stats() {
         assert!(r.text().contains("error"), "{}", r.text());
     }
 
+    // 10,000 `[` is a parse error past the nesting limit, not a worker
+    // stack overflow that aborts the whole server.
+    let r = fx
+        .client()
+        .post_json("/estimate", &"[".repeat(10_000))
+        .unwrap();
+    assert_eq!(r.status, 400, "{}", r.text());
+    assert!(r.text().contains("nesting"), "{}", r.text());
+    // A wrong-typed body of ~589 KB is named by kind and size in the
+    // error, never echoed back.
+    let items: Vec<String> = (0..100_000).map(|i| i.to_string()).collect();
+    let huge = format!("[{}]", items.join(","));
+    let r = fx.client().post_json("/estimate", &huge).unwrap();
+    assert_eq!(r.status, 400, "{}", r.text());
+    assert!(r.body.len() < 1024, "{} byte error body", r.body.len());
+    assert!(
+        r.text().contains("a sequence of 100000 items"),
+        "{}",
+        r.text()
+    );
+    // `null` reads as NaN, which the guard rejects.
+    let rest: Vec<String> = fx.query[1..].iter().map(|v| format!("{v}")).collect();
+    let null_component = format!("{{\"query\":[null,{}],\"tau\":0.3}}", rest.join(","));
+    let null_tau = fx.estimate_body(0.3).replace("\"tau\":0.3", "\"tau\":null");
+    for (body, msg) in [
+        (null_component, "non-finite component 0 (NaN)"),
+        (null_tau, "non-finite threshold (NaN)"),
+    ] {
+        let r = fx.client().post_json("/estimate", &body).unwrap();
+        assert_eq!(r.status, 400, "{}", r.text());
+        assert!(r.text().contains(msg), "{}", r.text());
+    }
+    let r = c.get("/health").unwrap();
+    assert_eq!(r.status, 200, "{}", r.text());
+
     // Invalid query semantics (negative τ) → 400 with the typed message.
     let mut c2 = fx.client();
     let r = c2.post_json("/estimate", &fx.estimate_body(-1.0)).unwrap();

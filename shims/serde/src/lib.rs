@@ -47,21 +47,37 @@ impl std::fmt::Display for Error {
 impl std::error::Error for Error {}
 
 impl Value {
+    /// Names the value's JSON kind and size, for error messages: an
+    /// error never echoes a whole subtree, which may be megabytes long.
+    pub fn describe(&self) -> String {
+        match self {
+            Value::Null => "null".to_string(),
+            Value::Bool(b) => format!("the bool {b}"),
+            Value::UInt(u) => format!("the integer {u}"),
+            Value::Int(i) => format!("the integer {i}"),
+            Value::Float(f) => format!("the number {f:?}"),
+            Value::Str(s) => format!("a string of {} bytes", s.len()),
+            Value::Seq(items) => format!("a sequence of {} items", items.len()),
+            Value::Map(entries) => format!("a map of {} entries", entries.len()),
+        }
+    }
+
+    /// The error for finding this value where `expected` was wanted.
+    fn unexpected(&self, expected: &str) -> Error {
+        Error::msg(format!("expected {expected}, found {}", self.describe()))
+    }
+
     pub fn expect_map(&self, what: &str) -> Result<&[(String, Value)], Error> {
         match self {
             Value::Map(m) => Ok(m),
-            other => Err(Error::msg(format!(
-                "expected map for {what}, found {other:?}"
-            ))),
+            other => Err(other.unexpected(&format!("map for {what}"))),
         }
     }
 
     pub fn expect_seq(&self, what: &str) -> Result<&[Value], Error> {
         match self {
             Value::Seq(s) => Ok(s),
-            other => Err(Error::msg(format!(
-                "expected sequence for {what}, found {other:?}"
-            ))),
+            other => Err(other.unexpected(&format!("sequence for {what}"))),
         }
     }
 
@@ -71,9 +87,7 @@ impl Value {
             Value::Int(i) => Ok(*i as f64),
             Value::Float(f) => Ok(*f),
             Value::Null => Ok(f64::NAN),
-            other => Err(Error::msg(format!(
-                "expected number for {what}, found {other:?}"
-            ))),
+            other => Err(other.unexpected(&format!("number for {what}"))),
         }
     }
 
@@ -82,9 +96,7 @@ impl Value {
             Value::UInt(u) => Ok(*u),
             Value::Int(i) if *i >= 0 => Ok(*i as u64),
             Value::Float(f) if *f >= 0.0 && f.fract() == 0.0 => Ok(*f as u64),
-            other => Err(Error::msg(format!(
-                "expected unsigned integer for {what}, found {other:?}"
-            ))),
+            other => Err(other.unexpected(&format!("unsigned integer for {what}"))),
         }
     }
 
@@ -93,9 +105,7 @@ impl Value {
             Value::Int(i) => Ok(*i),
             Value::UInt(u) if *u <= i64::MAX as u64 => Ok(*u as i64),
             Value::Float(f) if f.fract() == 0.0 => Ok(*f as i64),
-            other => Err(Error::msg(format!(
-                "expected integer for {what}, found {other:?}"
-            ))),
+            other => Err(other.unexpected(&format!("integer for {what}"))),
         }
     }
 }
@@ -108,6 +118,12 @@ pub trait Serialize {
 /// Reconstructs a value from a [`Value`] tree.
 pub trait Deserialize: Sized {
     fn deserialize(v: &Value) -> Result<Self, Error>;
+
+    /// Reconstructs a value from a tree it may consume. The default
+    /// borrows the tree; [`Value`] takes it whole instead of cloning it.
+    fn deserialize_owned(v: Value) -> Result<Self, Error> {
+        Self::deserialize(&v)
+    }
 }
 
 /// Looks up a struct field by name (used by the derive macros).
@@ -185,7 +201,7 @@ impl Deserialize for bool {
     fn deserialize(v: &Value) -> Result<Self, Error> {
         match v {
             Value::Bool(b) => Ok(*b),
-            other => Err(Error::msg(format!("expected bool, found {other:?}"))),
+            other => Err(other.unexpected("bool")),
         }
     }
 }
@@ -200,7 +216,7 @@ impl Deserialize for String {
     fn deserialize(v: &Value) -> Result<Self, Error> {
         match v {
             Value::Str(s) => Ok(s.clone()),
-            other => Err(Error::msg(format!("expected string, found {other:?}"))),
+            other => Err(other.unexpected("string")),
         }
     }
 }
@@ -290,5 +306,29 @@ impl Serialize for Value {
 impl Deserialize for Value {
     fn deserialize(v: &Value) -> Result<Self, Error> {
         Ok(v.clone())
+    }
+
+    fn deserialize_owned(v: Value) -> Result<Self, Error> {
+        Ok(v)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn type_errors_name_kind_and_size_only() {
+        let big = Value::Seq(vec![Value::UInt(7); 100_000]);
+        let err = big.expect_map("estimate body").expect_err("not a map");
+        assert_eq!(
+            err.to_string(),
+            "serde: expected map for estimate body, found a sequence of 100000 items"
+        );
+        let err = f32::deserialize(&Value::Str("x".repeat(1 << 20))).expect_err("not a number");
+        assert_eq!(
+            err.to_string(),
+            "serde: expected number for f32, found a string of 1048576 bytes"
+        );
     }
 }

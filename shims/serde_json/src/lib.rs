@@ -4,12 +4,23 @@
 //! Covers the subset the workspace uses: `to_string`, `to_vec`,
 //! `from_str`, `from_slice`, `Result`, `Error`. Non-finite floats are
 //! written as `null` (like upstream) and read back as NaN.
+//!
+//! Both directions are linear in the size of the document. The parser
+//! rejects nesting deeper than 128 arrays and objects (upstream's default
+//! limit) with an error, so a hostile body cannot overflow a thread's
+//! stack. The writer's bytes are part of the workspace's formats:
+//! artifact digests and state fingerprints hash them, so they must not
+//! change.
 
 use serde::{Deserialize, Serialize, Value};
+use std::fmt::Write as _;
 
 pub use serde::Error;
 
 pub type Result<T> = std::result::Result<T, Error>;
+
+/// The deepest nesting of arrays and objects the parser accepts.
+const MAX_DEPTH: usize = 128;
 
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String> {
     let mut out = String::new();
@@ -23,16 +34,17 @@ pub fn to_vec<T: Serialize + ?Sized>(value: &T) -> Result<Vec<u8>> {
 
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T> {
     let mut p = Parser {
-        bytes: s.as_bytes(),
+        src: s,
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.parse_value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != s.len() {
         return Err(Error::msg(format!("trailing characters at byte {}", p.pos)));
     }
-    T::deserialize(&v)
+    T::deserialize_owned(v)
 }
 
 pub fn from_slice<T: Deserialize>(bytes: &[u8]) -> Result<T> {
@@ -43,16 +55,22 @@ pub fn from_slice<T: Deserialize>(bytes: &[u8]) -> Result<T> {
 // ---------- writer ----------
 
 fn write_value(v: &Value, out: &mut String) {
+    // `fmt::Write` for `String` never fails, so the `write!` results below
+    // carry no information.
     match v {
         Value::Null => out.push_str("null"),
         Value::Bool(true) => out.push_str("true"),
         Value::Bool(false) => out.push_str("false"),
-        Value::UInt(u) => out.push_str(&u.to_string()),
-        Value::Int(i) => out.push_str(&i.to_string()),
+        Value::UInt(u) => {
+            let _ = write!(out, "{u}");
+        }
+        Value::Int(i) => {
+            let _ = write!(out, "{i}");
+        }
         Value::Float(f) => {
             if f.is_finite() {
                 // `{:?}` is Rust's shortest round-trip float formatting.
-                out.push_str(&format!("{f:?}"));
+                let _ = write!(out, "{f:?}");
             } else {
                 out.push_str("null");
             }
@@ -92,7 +110,9 @@ fn write_string(s: &str, out: &mut String) {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
@@ -101,14 +121,24 @@ fn write_string(s: &str, out: &mut String) {
 
 // ---------- parser ----------
 
+/// A recursive-descent parser over already-validated UTF-8. `pos` only
+/// ever stops on an ASCII byte (a structural character, a quote, an
+/// escape or the end), so every slice it takes of `src` falls on a
+/// character boundary.
 struct Parser<'a> {
-    bytes: &'a [u8],
+    src: &'a str,
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
+    fn bytes(&self) -> &'a [u8] {
+        self.src.as_bytes()
+    }
+
     fn skip_ws(&mut self) {
-        while let Some(b) = self.bytes.get(self.pos) {
+        while let Some(b) = self.peek() {
             if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
                 self.pos += 1;
             } else {
@@ -118,7 +148,14 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.bytes().get(self.pos).copied()
+    }
+
+    /// The source text from `start` up to the current position.
+    fn text_from(&self, start: usize) -> Result<&'a str> {
+        self.src
+            .get(start..self.pos)
+            .ok_or_else(|| Error::msg(format!("bytes {start}..{} split a character", self.pos)))
     }
 
     fn expect(&mut self, b: u8) -> Result<()> {
@@ -136,7 +173,7 @@ impl<'a> Parser<'a> {
     }
 
     fn eat_keyword(&mut self, kw: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(kw.as_bytes()) {
+        if self.bytes()[self.pos..].starts_with(kw.as_bytes()) {
             self.pos += kw.len();
             true
         } else {
@@ -151,63 +188,8 @@ impl<'a> Parser<'a> {
             Some(b't') if self.eat_keyword("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.eat_keyword("false") => Ok(Value::Bool(false)),
             Some(b'"') => self.parse_string().map(Value::Str),
-            Some(b'[') => {
-                self.pos += 1;
-                let mut items = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(Value::Seq(items));
-                }
-                loop {
-                    items.push(self.parse_value()?);
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(Value::Seq(items));
-                        }
-                        other => {
-                            return Err(Error::msg(format!(
-                                "expected `,` or `]` at byte {}, found {other:?}",
-                                self.pos
-                            )))
-                        }
-                    }
-                }
-            }
-            Some(b'{') => {
-                self.pos += 1;
-                let mut entries = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b'}') {
-                    self.pos += 1;
-                    return Ok(Value::Map(entries));
-                }
-                loop {
-                    self.skip_ws();
-                    let key = self.parse_string()?;
-                    self.skip_ws();
-                    self.expect(b':')?;
-                    let value = self.parse_value()?;
-                    entries.push((key, value));
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(Value::Map(entries));
-                        }
-                        other => {
-                            return Err(Error::msg(format!(
-                                "expected `,` or `}}` at byte {}, found {other:?}",
-                                self.pos
-                            )))
-                        }
-                    }
-                }
-            }
+            Some(b'[') => self.nested(Self::parse_seq),
+            Some(b'{') => self.nested(Self::parse_map),
             Some(b'-' | b'0'..=b'9') => self.parse_number(),
             other => Err(Error::msg(format!(
                 "unexpected {other:?} at byte {}",
@@ -216,64 +198,136 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Parses one array or object, refusing to open more than
+    /// [`MAX_DEPTH`] of them at once.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value>) -> Result<Value> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::msg(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
+    }
+
+    fn parse_seq(&mut self) -> Result<Value> {
+        self.pos += 1;
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(Value::Seq(items));
+        }
+        loop {
+            items.push(self.parse_value()?);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(Value::Seq(items));
+                }
+                other => {
+                    return Err(Error::msg(format!(
+                        "expected `,` or `]` at byte {}, found {other:?}",
+                        self.pos
+                    )))
+                }
+            }
+        }
+    }
+
+    fn parse_map(&mut self) -> Result<Value> {
+        self.pos += 1;
+        let mut entries = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(Value::Map(entries));
+        }
+        loop {
+            self.skip_ws();
+            let key = self.parse_string()?;
+            self.skip_ws();
+            self.expect(b':')?;
+            let value = self.parse_value()?;
+            entries.push((key, value));
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(Value::Map(entries));
+                }
+                other => {
+                    return Err(Error::msg(format!(
+                        "expected `,` or `}}` at byte {}, found {other:?}",
+                        self.pos
+                    )))
+                }
+            }
+        }
+    }
+
     fn parse_string(&mut self) -> Result<String> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            let rest = &self.bytes[self.pos..];
-            let Some(&b) = rest.first() else {
-                return Err(Error::msg("unterminated string"));
-            };
-            match b {
-                b'"' => {
+            // Copy the run up to the next quote or backslash in one go.
+            let start = self.pos;
+            let run = self.bytes()[start..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\');
+            self.pos = run.map_or(self.src.len(), |n| start + n);
+            out.push_str(self.text_from(start)?);
+            match self.peek() {
+                None => return Err(Error::msg("unterminated string")),
+                Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                b'\\' => {
-                    let esc = rest
-                        .get(1)
-                        .copied()
-                        .ok_or_else(|| Error::msg("bad escape"))?;
-                    self.pos += 2;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| Error::msg("bad \\u escape"))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| Error::msg("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| Error::msg("bad \\u escape"))?;
-                            self.pos += 4;
-                            // Surrogate pairs are not needed for this
-                            // workspace's identifiers; map lone
-                            // surrogates to the replacement character.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        other => {
-                            return Err(Error::msg(format!("bad escape `\\{}`", other as char)))
-                        }
-                    }
-                }
-                _ => {
-                    // Consume one UTF-8 scalar.
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|e| Error::msg(format!("invalid utf-8: {e}")))?;
-                    let c = s.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                Some(_) => self.parse_escape(&mut out)?,
             }
         }
+    }
+
+    /// Decodes the escape whose backslash is at the current position.
+    fn parse_escape(&mut self, out: &mut String) -> Result<()> {
+        let esc = self
+            .bytes()
+            .get(self.pos + 1)
+            .copied()
+            .ok_or_else(|| Error::msg("bad escape"))?;
+        self.pos += 2;
+        match esc {
+            b'"' => out.push('"'),
+            b'\\' => out.push('\\'),
+            b'/' => out.push('/'),
+            b'n' => out.push('\n'),
+            b'r' => out.push('\r'),
+            b't' => out.push('\t'),
+            b'b' => out.push('\u{8}'),
+            b'f' => out.push('\u{c}'),
+            b'u' => {
+                let hex = self
+                    .bytes()
+                    .get(self.pos..self.pos + 4)
+                    .ok_or_else(|| Error::msg("bad \\u escape"))?;
+                let hex = std::str::from_utf8(hex).map_err(|_| Error::msg("bad \\u escape"))?;
+                let code =
+                    u32::from_str_radix(hex, 16).map_err(|_| Error::msg("bad \\u escape"))?;
+                self.pos += 4;
+                // Surrogate pairs are not needed for this workspace's
+                // identifiers; map lone surrogates to the replacement
+                // character.
+                out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+            }
+            other => return Err(Error::msg(format!("bad escape `\\{}`", other as char))),
+        }
+        Ok(())
     }
 
     fn parse_number(&mut self) -> Result<Value> {
@@ -292,8 +346,7 @@ impl<'a> Parser<'a> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| Error::msg("invalid number"))?;
+        let text = self.text_from(start)?;
         if !is_float {
             if text.starts_with('-') {
                 if let Ok(i) = text.parse::<i64>() {
@@ -337,6 +390,195 @@ mod tests {
             let s = to_string(&x).expect("serialize");
             let back: f64 = from_str(&s).expect("parse");
             assert_eq!(back, x, "{s}");
+        }
+    }
+
+    #[test]
+    fn parses_the_same_tree() {
+        // Integer tokens stay integers (so "-0" is integer zero), anything
+        // with a fraction or exponent is an f64, and u64 overflow falls
+        // back to f64.
+        let doc = " {\"u\": 7, \"i\": -7, \"z\": -0, \"f\": 1.5, \"e\": 1E3, \
+                   \"big\": 18446744073709551616, \"s\": \"a\\u00e9\\\"\", \
+                   \"n\": null, \"b\": [true, false, []], \"m\": {}} ";
+        let entry = |k: &str, v: Value| (k.to_string(), v);
+        let want = Value::Map(vec![
+            entry("u", Value::UInt(7)),
+            entry("i", Value::Int(-7)),
+            entry("z", Value::Int(0)),
+            entry("f", Value::Float(1.5)),
+            entry("e", Value::Float(1000.0)),
+            entry("big", Value::Float(18_446_744_073_709_551_616.0)),
+            entry("s", Value::Str("aé\"".to_string())),
+            entry("n", Value::Null),
+            entry(
+                "b",
+                Value::Seq(vec![
+                    Value::Bool(true),
+                    Value::Bool(false),
+                    Value::Seq(vec![]),
+                ]),
+            ),
+            entry("m", Value::Map(vec![])),
+        ]);
+        assert_eq!(from_str::<Value>(doc).expect("parse"), want);
+        assert_eq!(from_slice::<Value>(doc.as_bytes()).expect("parse"), want);
+        assert!(from_str::<Value>("[1] x").is_err());
+        assert!(from_slice::<Value>(b"\"\xff\"").is_err());
+    }
+
+    #[test]
+    fn strings_mix_multibyte_runs_and_escapes() {
+        // Escapes sit right next to multi-byte characters, so every copied
+        // run starts or ends on a character boundary.
+        let cases = [
+            (r#""✓\n✓""#, "✓\n✓"),
+            (r#""\"é\\""#, "\"é\\"),
+            (r#""日本\u00e9語\t""#, "日本é語\t"),
+            (r#""\u2713🎉\/\b\f\r""#, "✓🎉/\u{8}\u{c}\r"),
+            (r#""é\\\\\"""#, "é\\\\\""),
+            (r#""""#, ""),
+            (r#""plain ascii""#, "plain ascii"),
+        ];
+        for (json, want) in cases {
+            let got: String = from_str(json).expect(json);
+            assert_eq!(got, want, "{json}");
+        }
+        let s = "a\"b\\c\nd\re\tf\u{1}g✓🎉";
+        let back: String = from_str(&to_string(s).expect("serialize")).expect("parse");
+        assert_eq!(back, s);
+    }
+
+    #[test]
+    fn string_may_end_on_the_last_byte() {
+        assert_eq!(from_str::<String>("\"é\"").expect("parse"), "é");
+        assert_eq!(from_str::<String>("\"\\n\"").expect("parse"), "\n");
+        let v: Value = from_slice("[\"x\",\"🎉\"]".as_bytes()).expect("parse");
+        assert_eq!(
+            v,
+            Value::Seq(vec![
+                Value::Str("x".to_string()),
+                Value::Str("🎉".to_string())
+            ])
+        );
+    }
+
+    #[test]
+    fn broken_strings_still_error() {
+        for (bad, msg) in [
+            ("\"abc", "unterminated string"),
+            ("\"é", "unterminated string"),
+            ("\"", "unterminated string"),
+            ("\"abc\\", "bad escape"),
+            ("\"\\", "bad escape"),
+            ("\"\\q\"", "bad escape `\\q`"),
+            ("\"\\u12\"", "bad \\u escape"),
+            ("\"\\u12g4\"", "bad \\u escape"),
+        ] {
+            let err = from_str::<String>(bad).expect_err(bad);
+            assert!(err.to_string().contains(msg), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let seqs = |d: usize| format!("{}{}", "[".repeat(d), "]".repeat(d));
+        let maps = |d: usize| format!("{}1{}", "{\"k\":".repeat(d), "}".repeat(d));
+        for doc in [seqs(MAX_DEPTH), maps(MAX_DEPTH)] {
+            assert!(from_str::<Value>(&doc).is_ok());
+        }
+        for doc in [seqs(MAX_DEPTH + 1), maps(MAX_DEPTH + 1), "[".repeat(10_000)] {
+            let err = from_str::<Value>(&doc).expect_err("too deep");
+            assert!(err.to_string().contains("nesting deeper than 128"), "{err}");
+        }
+    }
+
+    #[test]
+    fn writer_bytes_are_pinned() {
+        // Artifact digests and state fingerprints hash these bytes.
+        let entry = |k: &str, v: Value| (k.to_string(), v);
+        let nested = Value::Map(vec![
+            entry(
+                "a",
+                Value::Seq(vec![
+                    Value::UInt(1),
+                    Value::Int(-2),
+                    Value::Float(0.5),
+                    Value::Map(vec![entry("b", Value::Null), entry("c", Value::Bool(true))]),
+                ]),
+            ),
+            entry("d", Value::Str("x\"y\n\u{1}✓".to_string())),
+            entry("e", Value::Map(vec![])),
+        ]);
+        let cases = [
+            (Value::Float(0.1), "0.1"),
+            (Value::Float(1e-9), "1e-9"),
+            (Value::Float(-2.25), "-2.25"),
+            (Value::Float(1.0), "1.0"),
+            (Value::Float(1e16), "1e16"),
+            (Value::Float(f64::from(0.1f32)), "0.10000000149011612"),
+            (Value::Float(f64::NAN), "null"),
+            (Value::Float(f64::INFINITY), "null"),
+            (Value::Float(f64::NEG_INFINITY), "null"),
+            (Value::UInt(u64::MAX), "18446744073709551615"),
+            (Value::Int(i64::MIN), "-9223372036854775808"),
+            (
+                nested,
+                "{\"a\":[1,-2,0.5,{\"b\":null,\"c\":true}],\"d\":\"x\\\"y\\n\\u0001✓\",\"e\":{}}",
+            ),
+        ];
+        for (v, want) in cases {
+            assert_eq!(to_string(&v).expect("serialize"), want);
+        }
+    }
+
+    #[test]
+    fn batch_body_decodes_f32_components_bit_identically() {
+        // A 64-query × 64-dim `/estimate_batch` body as clients write it:
+        // f32 components in `{x}` Display. Every component must decode to
+        // exactly `text.parse::<f64>() as f32`.
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut component = move || {
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            let r = state.wrapping_mul(0x2545_f491_4f6c_dd1d);
+            if r & 3 == 0 {
+                // Any finite nonzero f32, subnormals up to f32::MAX.
+                let x = f32::from_bits((r >> 32) as u32);
+                if x.is_finite() && x != 0.0 {
+                    x
+                } else {
+                    0.5
+                }
+            } else {
+                // Unit-vector-sized components.
+                (r >> 40) as f32 / (1u32 << 24) as f32 * 2.0 - 1.0
+            }
+        };
+        let mut texts: Vec<Vec<String>> = Vec::new();
+        let entries: Vec<String> = (0..64)
+            .map(|i| {
+                let parts: Vec<String> = (0..64).map(|_| format!("{}", component())).collect();
+                let tau = 0.05 * (i % 12) as f32;
+                let entry = format!("{{\"query\":[{}],\"tau\":{tau}}}", parts.join(","));
+                texts.push(parts);
+                entry
+            })
+            .collect();
+        let body = format!("{{\"queries\":[{}]}}", entries.join(","));
+        let v: Value = from_slice(body.as_bytes()).expect("parse");
+        let map = v.expect_map("batch").expect("a map");
+        let queries: Vec<Value> = serde::get_field(map, "queries", "batch").expect("queries");
+        assert_eq!(queries.len(), 64);
+        for (q, parts) in queries.iter().zip(&texts) {
+            let m = q.expect_map("entry").expect("a map");
+            let got: Vec<f32> = serde::get_field(m, "query", "entry").expect("query");
+            assert_eq!(got.len(), parts.len());
+            for (g, text) in got.iter().zip(parts) {
+                let want = text.parse::<f64>().expect("a number") as f32;
+                assert_eq!(g.to_bits(), want.to_bits(), "{text}");
+            }
         }
     }
 }
