@@ -20,7 +20,8 @@
 #                full name resolution: the workspace `[lints]` table forbids
 #                unsafe code, crate roots warn on unwrap/expect/panic-family
 #                macros, the kernel files warn on `as` casts, and
-#                clippy.toml disallows partial_cmp and SystemTime::now;
+#                clippy.toml disallows partial_cmp, SystemTime::now and
+#                std::thread::available_parallelism;
 #   bench-build  benches must keep compiling (perf regression harness),
 #                but running them is not a CI concern;
 #   test         `cargo test --workspace`: every suite, including the

@@ -19,8 +19,6 @@
 //! clear both the absolute floor and the median multiple.
 
 use crate::update::UpdatableGl;
-use cardest_baselines::traits::CardinalityEstimator;
-use cardest_nn::metrics::q_error;
 use serde::{Deserialize, Serialize};
 
 /// Drift-monitor thresholds.
@@ -123,13 +121,12 @@ impl DriftMonitor {
         m
     }
 
-    /// Mean probe Q-error per segment (0 for unprobed segments).
+    /// Mean probe Q-error per segment (0 for unprobed segments), from one
+    /// batched probe sweep ([`UpdatableGl::probe_q_errors`]).
     fn per_segment_error(&self, upd: &UpdatableGl) -> Vec<f32> {
-        let n_segments = self.counts.len();
-        let mut sums = vec![0.0f32; n_segments];
-        for (i, s) in upd.test_samples().iter().enumerate() {
-            let est = upd.gl().estimate(upd.queries().view(s.query), s.tau);
-            sums[self.probe_seg[i]] += q_error(est, s.card);
+        let mut sums = vec![0.0f32; self.counts.len()];
+        for (&seg, err) in self.probe_seg.iter().zip(upd.probe_q_errors()) {
+            sums[seg] += err;
         }
         sums.iter()
             .zip(&self.counts)
@@ -222,10 +219,11 @@ mod tests {
     use super::*;
     use crate::gl::{GlConfig, GlEstimator, GlVariant};
     use crate::tuning::TuningConfig;
-    use crate::update::UpdateConfig;
-    use cardest_baselines::traits::TrainingSet;
+    use crate::update::{UpdateConfig, PROBE_CHUNK};
+    use cardest_baselines::traits::{CardinalityEstimator, TrainingSet};
     use cardest_data::paper::{DatasetSpec, PaperDataset};
     use cardest_data::workload::SearchWorkload;
+    use cardest_nn::metrics::{q_error, ErrorSummary};
     use cardest_nn::trainer::TrainConfig;
 
     fn setup(seed: u64) -> UpdatableGl {
@@ -285,6 +283,53 @@ mod tests {
             .min_by(|(_, a), (_, b)| a.card.total_cmp(&b.card))
             .map(|(i, _)| i)
             .unwrap()
+    }
+
+    /// Reference sweep: one `estimate` call per probe.
+    fn per_probe_q_errors(upd: &UpdatableGl) -> Vec<f32> {
+        upd.test_samples()
+            .iter()
+            .map(|s| {
+                q_error(
+                    upd.gl().estimate(upd.queries().view(s.query), s.tau),
+                    s.card,
+                )
+            })
+            .collect()
+    }
+
+    fn assert_close(batched: f32, per_probe: f32, what: &str) {
+        let rel = (batched - per_probe).abs() / per_probe.abs().max(f32::MIN_POSITIVE);
+        assert!(
+            rel <= 1e-5,
+            "{what}: batched {batched} vs per-probe {per_probe} (relative {rel:e})"
+        );
+    }
+
+    #[test]
+    fn batched_sweep_matches_per_probe_segment_errors() {
+        let upd = setup(223);
+        // 15 test queries × 10 thresholds: the sweep crosses a chunk boundary.
+        assert!(upd.test_samples().len() > PROBE_CHUNK);
+        let monitor = DriftMonitor::new(&upd, test_cfg());
+        let mut sums = vec![0.0f32; monitor.counts.len()];
+        for (&seg, err) in monitor.probe_seg.iter().zip(per_probe_q_errors(&upd)) {
+            sums[seg] += err;
+        }
+        let batched = monitor.per_segment_error(&upd);
+        for (seg, ((&got, &sum), &c)) in batched.iter().zip(&sums).zip(&monitor.counts).enumerate()
+        {
+            let want = if c == 0 { 0.0 } else { sum / c as f32 };
+            assert_close(got, want, &format!("segment {seg}"));
+        }
+    }
+
+    #[test]
+    fn mean_test_q_error_matches_per_probe_mean() {
+        let upd = setup(224);
+        assert!(upd.test_samples().len() > PROBE_CHUNK);
+        let want = ErrorSummary::from_errors(&per_probe_q_errors(&upd)).mean;
+        assert_close(upd.mean_test_q_error(), want, "mean_test_q_error");
     }
 
     #[test]

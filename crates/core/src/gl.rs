@@ -441,7 +441,7 @@ impl GlEstimator {
         // Per-segment ln-card predictions for the grouped rows.
         let mut seg_preds: Vec<Vec<f32>> = vec![Vec::new(); n_seg];
         let work: usize = groups.iter().map(Vec::len).sum();
-        let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
+        let threads = cardest_nn::parallel::available_cores();
         if work <= 64 || threads <= 1 {
             // Small batches: the scoped-thread fan-out costs more than it
             // saves; run the per-segment batches on this thread.

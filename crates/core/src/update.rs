@@ -44,6 +44,12 @@ impl Default for UpdateConfig {
     }
 }
 
+/// Probes per `estimate_batch` call in [`UpdatableGl::probe_q_errors`]:
+/// the coalescer's `max_batch`. A local's row group then holds at most 64
+/// rows, under the blocked GEMM's 128-row threading threshold, so the
+/// batch's segment fan-out is the sweep's only threading.
+pub(crate) const PROBE_CHUNK: usize = 64;
+
 /// The serialized form of [`UpdatableGl`] — everything a recovery needs,
 /// minus the rebuildable feature caches.
 #[derive(Serialize, Deserialize)]
@@ -479,16 +485,30 @@ impl UpdatableGl {
         ))
     }
 
+    /// Q-error of each (label-patched) test sample, in
+    /// [`UpdatableGl::test_samples`] order: the probe sweep behind the
+    /// drift monitor and Fig. 15. Probes are scored through
+    /// `estimate_batch` in chunks of [`PROBE_CHUNK`], so a sweep pays the
+    /// per-call costs once per chunk, not once per probe; the estimates
+    /// match per-probe ones within the trait's 1e-5 batch ≍ sequential
+    /// contract.
+    pub(crate) fn probe_q_errors(&self) -> Vec<f32> {
+        let mut errs = Vec::with_capacity(self.test.len());
+        for chunk in self.test.chunks(PROBE_CHUNK) {
+            let batch: Vec<(VectorView<'_>, f32)> = chunk
+                .iter()
+                .map(|s| (self.queries.view(s.query), s.tau))
+                .collect();
+            let ests = self.gl.estimate_batch(&batch);
+            errs.extend(chunk.iter().zip(ests).map(|(s, est)| q_error(est, s.card)));
+        }
+        errs
+    }
+
     /// Mean Q-error over the (label-patched) test samples — the metric
     /// Fig. 15 tracks across update operations.
-    pub fn mean_test_q_error(&mut self) -> f32 {
-        let mut errs = Vec::with_capacity(self.test.len());
-        for i in 0..self.test.len() {
-            let s = self.test[i];
-            let est = self.gl.estimate(self.queries.view(s.query), s.tau);
-            errs.push(q_error(est, s.card));
-        }
-        ErrorSummary::from_errors(&errs).mean
+    pub fn mean_test_q_error(&self) -> f32 {
+        ErrorSummary::from_errors(&self.probe_q_errors()).mean
     }
 }
 

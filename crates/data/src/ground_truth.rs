@@ -22,6 +22,9 @@ pub struct DistanceTable {
 impl DistanceTable {
     /// Computes all pairwise distances between `queries` and `data`,
     /// splitting the query range over the available cores.
+    // One core-count read per table build, which is no hot path, and
+    // `cardest-data` does not depend on `cardest-nn`'s cached count.
+    #[allow(clippy::disallowed_methods)]
     pub fn compute(queries: &VectorData, data: &VectorData, metric: Metric) -> Self {
         let n_queries = queries.len();
         let n_data = data.len();

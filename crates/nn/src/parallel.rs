@@ -20,9 +20,25 @@
 
 use crate::scratch::Scratch;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
-/// Process-wide training thread count; 0 means "ask the OS".
+/// Process-wide training thread count; 0 means "one per available core".
 static TRAIN_THREADS: AtomicUsize = AtomicUsize::new(0);
+
+/// The cores this process may use, read from the OS once and then cached.
+///
+/// `std::thread::available_parallelism` re-reads the cgroup CPU quota on
+/// every call (its docs say it "should not be called from hot code"),
+/// which is a large share of a lone estimate; the batched inference paths
+/// ask on every call. A changed CPU limit therefore takes effect on
+/// restart. No result depends on the value: every parallel path
+/// here is thread-count independent (DESIGN §6).
+// clippy.toml bans the per-call read everywhere else in favour of this.
+#[allow(clippy::disallowed_methods)]
+pub fn available_cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |p| p.get()))
+}
 
 /// Overrides the process-wide training thread count (`0` restores the
 /// default of one thread per available core). The `exp` CLI exposes this
@@ -31,10 +47,11 @@ pub fn set_train_threads(n: usize) {
     TRAIN_THREADS.store(n, Ordering::Relaxed);
 }
 
-/// The effective process-wide training thread count.
+/// The effective process-wide training thread count: the knob, or
+/// [`available_cores`] when it is 0.
 pub fn train_threads() -> usize {
     match TRAIN_THREADS.load(Ordering::Relaxed) {
-        0 => std::thread::available_parallelism().map_or(1, |p| p.get()),
+        0 => available_cores(),
         n => n,
     }
 }
@@ -284,5 +301,6 @@ mod tests {
         assert_eq!(resolve_threads(5), 5);
         set_train_threads(0);
         assert!(train_threads() >= 1);
+        assert_eq!(train_threads(), available_cores());
     }
 }
