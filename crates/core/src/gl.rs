@@ -27,16 +27,18 @@ use cardest_baselines::traits::{CardinalityEstimator, TrainingSet};
 use cardest_cluster::segmentation::{Segmentation, SegmentationConfig, SegmentationMethod};
 use cardest_data::metric::Metric;
 use cardest_data::vector::{VectorData, VectorView};
+use cardest_data::workload::SearchSample;
 use cardest_nn::artifact::ArtifactError;
 use cardest_nn::metrics::decode_log_card;
 use cardest_nn::net::BranchNet;
+use cardest_nn::parallel::{fan_exclusive, train_threads};
 use cardest_nn::scratch::with_thread_scratch;
 use cardest_nn::tensor::dot;
 use cardest_nn::trainer::{train_branch_regression, TrainConfig};
 use cardest_nn::{Matrix, Scratch};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 /// Artifact kind tag identifying a serialized [`GlEstimator`] (any
@@ -150,8 +152,13 @@ pub struct GlEstimator {
     /// Threshold normalizer for the expanded τ features (the largest τ
     /// seen in training).
     tau_scale: f32,
-    /// Per-segment radii, cached for the overlap features.
+    /// Per-segment radii at training time: training, fine-tuning, serving
+    /// and joins build the overlap features from these, whatever inserts
+    /// later do to [`Segmentation::radius`].
     radii: Vec<f32>,
+    /// [`GlConfig::max_local_samples`] at training time; fine-tuning
+    /// selects each local's samples under the same budget.
+    max_local_samples: usize,
 }
 
 impl GlEstimator {
@@ -178,8 +185,8 @@ impl GlEstimator {
     }
 
     /// Trains on a pre-fitted segmentation and labels (used by Fig. 11's
-    /// segment-count sweep and by the update machinery, which re-train
-    /// with modified labels).
+    /// segment-count sweep and by set-ups that time training's steps
+    /// separately).
     pub fn train_with_segmentation(
         data: &VectorData,
         _metric: Metric,
@@ -212,19 +219,15 @@ impl GlEstimator {
         };
 
         // Phase 1: one local regressor per segment.
-        let radii_vec: Vec<f32> = (0..n_segments).map(|i| segmentation.radius(i)).collect();
-        let locals = train_locals(
-            dim,
-            n_segments,
+        let radii: Vec<f32> = (0..n_segments).map(|i| segmentation.radius(i)).collect();
+        let inputs = SampleInputs {
+            samples: training.samples,
+            xq_cache: &xq_cache,
+            xc_cache: &xc_cache,
+            radii: radii.clone(),
             tau_scale,
-            &radii_vec,
-            training,
-            labels,
-            &xq_cache,
-            &xc_cache,
-            &query_embed,
-            cfg,
-        );
+        };
+        let locals = train_locals(dim, &inputs, labels, &query_embed, cfg);
 
         // Phase 2: the global discriminative model.
         let global = if cfg.variant.uses_global() {
@@ -234,7 +237,7 @@ impl GlEstimator {
                 sigma: cfg.sigma,
                 penalty: cfg.penalty,
                 tau_scale,
-                radii: radii_vec.clone(),
+                radii: radii.clone(),
                 train: cfg.global_train,
             };
             let (g, _) =
@@ -244,9 +247,6 @@ impl GlEstimator {
             None
         };
 
-        let radii = (0..segmentation.n_segments())
-            .map(|i| segmentation.radius(i))
-            .collect();
         GlEstimator {
             variant: cfg.variant,
             segmentation,
@@ -254,6 +254,7 @@ impl GlEstimator {
             global,
             tau_scale,
             radii,
+            max_local_samples: cfg.max_local_samples,
         }
     }
 
@@ -277,10 +278,6 @@ impl GlEstimator {
         self.global.as_ref()
     }
 
-    pub fn global_mut(&mut self) -> Option<&mut GlobalModel> {
-        self.global.as_mut()
-    }
-
     pub(crate) fn locals(&self) -> &[BranchNet] {
         &self.locals
     }
@@ -298,6 +295,85 @@ impl GlEstimator {
     /// Threshold normalizer used by the expanded τ features.
     pub fn tau_scale(&self) -> f32 {
         self.tau_scale
+    }
+
+    /// The per-segment radii the model was trained with.
+    pub(crate) fn radii(&self) -> &[f32] {
+        &self.radii
+    }
+
+    /// Labelled samples as this model sees them: the per-query caches
+    /// ([`build_feature_caches`]) with the trained radii and τ scale.
+    pub(crate) fn sample_inputs<'a>(
+        &self,
+        samples: &'a [SearchSample],
+        xq_cache: &'a [Vec<f32>],
+        xc_cache: &'a [Vec<f32>],
+    ) -> SampleInputs<'a> {
+        SampleInputs {
+            samples,
+            xq_cache,
+            xc_cache,
+            radii: self.radii.clone(),
+            tau_scale: self.tau_scale,
+        }
+    }
+
+    /// Warm-start fine-tuning (§5.3) of the local models of `segments`
+    /// (duplicates and unknown ids are ignored) on patched `labels`: each
+    /// runs training's sample selection under the recorded budget and
+    /// training's batch builder over `inputs`
+    /// ([`GlEstimator::sample_inputs`]) for `tcfg`'s schedule. The
+    /// segments fan out across scoped threads.
+    pub(crate) fn finetune_locals(
+        &mut self,
+        inputs: &SampleInputs<'_>,
+        labels: &SegmentLabels,
+        segments: &[usize],
+        tcfg: &TrainConfig,
+    ) {
+        let budget = self.max_local_samples;
+        let jobs: Vec<_> = self
+            .locals
+            .iter_mut()
+            .enumerate()
+            .filter(|(seg, _)| segments.contains(seg))
+            .map(|(seg, local)| {
+                // Seeded by segment alone: the estimator does not record
+                // its training seed.
+                let mut rng = StdRng::seed_from_u64(seg as u64);
+                let chosen = local_sample_rows(labels, seg, budget, &mut rng);
+                let weight = chosen.len();
+                (seg, (local, chosen), weight)
+            })
+            .collect();
+        fan_exclusive(
+            jobs,
+            train_threads(),
+            |seg, (local, chosen): (&mut BranchNet, Vec<usize>)| {
+                // As in `train_locals`, the segment fan owns the cores.
+                let tcfg = TrainConfig {
+                    seed: seg as u64,
+                    threads: 1,
+                    ..*tcfg
+                };
+                fit_local(local, inputs, labels, seg, &chosen, &tcfg);
+            },
+        );
+    }
+
+    /// Warm-start fine-tuning of the global model on patched `labels`
+    /// through [`GlobalModel::fit`], penalty on (the §3.3 default; the
+    /// Exp-6 no-penalty ablation is never fine-tuned).
+    pub(crate) fn finetune_global(
+        &mut self,
+        inputs: &SampleInputs<'_>,
+        labels: &SegmentLabels,
+        tcfg: &TrainConfig,
+    ) {
+        if let Some(g) = &mut self.global {
+            g.fit(inputs, labels, true, tcfg);
+        }
     }
 
     /// Serializes the trained estimator to JSON.
@@ -373,25 +449,13 @@ impl GlEstimator {
         }
         let b = queries.len();
         let n_seg = self.locals.len();
-        let dim = self.locals[0].in_dims()[0];
-
-        // Per-query features, assembled once for the whole batch.
         let taus: Vec<f32> = queries.iter().map(|&(_, tau)| tau).collect();
-        let mut xq = Matrix::zeros(b, dim);
-        let mut qbuf: Vec<f32> = Vec::with_capacity(dim);
-        for (r, &(q, _)) in queries.iter().enumerate() {
-            q.write_dense(&mut qbuf);
-            xq.row_mut(r).copy_from_slice(&qbuf);
-        }
-        let mut xcd = Matrix::zeros(b, n_seg); // raw centroid distances
-        batched_centroid_distances(&self.segmentation, queries, &xq, &mut xcd);
-        let mut xt = Matrix::zeros(b, TAU_DIM);
-        let mut xca = Matrix::zeros(b, 2 * n_seg); // aux (overlap) features
-        for (r, &tau) in taus.iter().enumerate() {
-            xt.row_mut(r)
-                .copy_from_slice(&tau_features(tau, self.tau_scale));
-            aux_features_into(xcd.row(r), &self.radii, tau, xca.row_mut(r));
-        }
+        let BatchInputs {
+            xq,
+            xcd,
+            xt,
+            aux: xca,
+        } = self.batch_inputs(queries);
 
         // Segment selection: one batched global forward for all queries.
         let mut selected = vec![false; b * n_seg];
@@ -500,6 +564,29 @@ impl GlEstimator {
             // cardest-lint: allow(float-total-order): exact zero sentinel for "no segment answered"; totals are sums of exact zeros
             .map(|((t, m), n)| (if t == 0.0 { m } else { t }, n))
             .collect()
+    }
+
+    /// A query batch's model inputs, assembled once for the whole batch.
+    pub(crate) fn batch_inputs(&self, queries: &[(VectorView<'_>, f32)]) -> BatchInputs {
+        let b = queries.len();
+        let n_seg = self.locals.len();
+        let dim = self.locals[0].in_dims()[0];
+        let mut xq = Matrix::zeros(b, dim);
+        let mut qbuf: Vec<f32> = Vec::with_capacity(dim);
+        for (r, &(q, _)) in queries.iter().enumerate() {
+            q.write_dense(&mut qbuf);
+            xq.row_mut(r).copy_from_slice(&qbuf);
+        }
+        let mut xcd = Matrix::zeros(b, n_seg);
+        batched_centroid_distances(&self.segmentation, queries, &xq, &mut xcd);
+        let mut xt = Matrix::zeros(b, TAU_DIM);
+        let mut aux = Matrix::zeros(b, 2 * n_seg);
+        for (r, &(_, tau)) in queries.iter().enumerate() {
+            xt.row_mut(r)
+                .copy_from_slice(&tau_features(tau, self.tau_scale));
+            aux_features_into(xcd.row(r), &self.radii, tau, aux.row_mut(r));
+        }
+        BatchInputs { xq, xcd, xt, aux }
     }
 
     /// Bytes of all local models plus the global model (Table 5).
@@ -696,27 +783,102 @@ fn tune_shared_embedding(
         .unwrap_or_else(|| QueryEmbed::default_cnn(dim, cfg.n_query_segments))
 }
 
+/// A query batch's model inputs as serving builds them: `x_q`, the raw
+/// centroid distances (the global model's input), `x_τ`, and the overlap
+/// features from the trained radii.
+pub(crate) struct BatchInputs {
+    pub(crate) xq: Matrix,
+    pub(crate) xcd: Matrix,
+    pub(crate) xt: Matrix,
+    pub(crate) aux: Matrix,
+}
+
+/// Labelled training samples as model inputs: the one batch assembly that
+/// local and global training, and fine-tuning after data updates, share.
+/// `x_q` and the centroid distances come from the per-query caches
+/// ([`build_feature_caches`]), the overlap features from `radii`.
+pub(crate) struct SampleInputs<'a> {
+    pub(crate) samples: &'a [SearchSample],
+    pub(crate) xq_cache: &'a [Vec<f32>],
+    pub(crate) xc_cache: &'a [Vec<f32>],
+    pub(crate) radii: Vec<f32>,
+    pub(crate) tau_scale: f32,
+}
+
+impl SampleInputs<'_> {
+    /// `[x_q, x_τ, aux]` with one row per sample index in `rows`.
+    pub(crate) fn inputs(&self, rows: &[usize]) -> Vec<Matrix> {
+        let b = rows.len();
+        let n_seg = self.radii.len();
+        let dim = self.xq_cache.first().map_or(0, Vec::len);
+        let mut xq = Matrix::zeros(b, dim);
+        let mut xt = Matrix::zeros(b, TAU_DIM);
+        let mut aux = Matrix::zeros(b, 2 * n_seg);
+        for (r, &j) in rows.iter().enumerate() {
+            let s = &self.samples[j];
+            xq.row_mut(r).copy_from_slice(&self.xq_cache[s.query]);
+            xt.row_mut(r)
+                .copy_from_slice(&tau_features(s.tau, self.tau_scale));
+            aux_features_into(&self.xc_cache[s.query], &self.radii, s.tau, aux.row_mut(r));
+        }
+        vec![xq, xt, aux]
+    }
+}
+
+/// The samples one local model trains on: all positives, then at most 2×
+/// as many zeros (at least a handful, so empty segments still see "no
+/// match" examples), within the overall `budget`; both shuffled by `rng`.
+fn local_sample_rows(
+    labels: &SegmentLabels,
+    segment: usize,
+    budget: usize,
+    rng: &mut StdRng,
+) -> Vec<usize> {
+    let (mut positives, mut zeros): (Vec<usize>, Vec<usize>) =
+        (0..labels.n_samples()).partition(|&j| labels.card(j, segment) > 0.0);
+    zeros.shuffle(rng);
+    positives.shuffle(rng);
+    positives.truncate(budget);
+    let remaining = budget.saturating_sub(positives.len());
+    let zero_budget = (positives.len() * 2).max(8).min(remaining.max(8));
+    zeros.truncate(zero_budget);
+    positives.extend(zeros);
+    positives
+}
+
+/// Trains `net` (fresh, or warm when fine-tuning) for `tcfg`'s schedule on
+/// the `chosen` samples' `card^{j}[segment]` targets.
+fn fit_local(
+    net: &mut BranchNet,
+    inputs: &SampleInputs<'_>,
+    labels: &SegmentLabels,
+    segment: usize,
+    chosen: &[usize],
+    tcfg: &TrainConfig,
+) {
+    let mut build = |idx: &[usize]| {
+        let rows: Vec<usize> = idx.iter().map(|&i| chosen[i]).collect();
+        let cards: Vec<f32> = rows.iter().map(|&j| labels.card(j, segment)).collect();
+        (inputs.inputs(&rows), cards)
+    };
+    train_branch_regression(net, chosen.len(), &mut build, tcfg);
+}
+
 /// Phase 1: trains the per-segment local regressors. Independent models —
 /// fanned across scoped threads by a work queue keyed on per-segment sample
 /// count (largest segments dispatch first, so a straggler never serializes
 /// the tail). Each worker owns one `Scratch`; results are bit-identical to
 /// sequential training because every segment is trained from its own seed.
-#[allow(clippy::too_many_arguments)]
 fn train_locals(
     dim: usize,
-    n_segments: usize,
-    tau_scale: f32,
-    radii: &[f32],
-    training: &TrainingSet<'_>,
+    inputs: &SampleInputs<'_>,
     labels: &SegmentLabels,
-    xq_cache: &[Vec<f32>],
-    xc_cache: &[Vec<f32>],
     query_embed: &QueryEmbed,
     cfg: &GlConfig,
 ) -> Vec<BranchNet> {
     // Positives dominate a segment's training cost (zeros are capped at 2×
     // the positives), so the positive count is the queue weight.
-    let weights: Vec<usize> = (0..n_segments)
+    let weights: Vec<usize> = (0..labels.n_segments())
         .map(|seg| {
             (0..labels.n_samples())
                 .filter(|&j| labels.card(j, seg) > 0.0)
@@ -726,105 +888,42 @@ fn train_locals(
         .collect();
     let threads = cardest_nn::parallel::resolve_threads(cfg.local_train.threads);
     cardest_nn::parallel::parallel_largest_first(&weights, threads, |seg, scratch| {
-        train_one_local(
-            dim,
-            seg,
-            tau_scale,
-            radii,
-            training,
-            labels,
-            xq_cache,
-            xc_cache,
-            query_embed,
-            cfg,
-            scratch,
-        )
+        train_one_local(dim, seg, inputs, labels, query_embed, cfg, scratch)
     })
 }
 
 /// Trains one local regressor on `card^{j}[segment]` targets, balancing
 /// zero-cardinality samples against positives.
-#[allow(clippy::too_many_arguments)]
 fn train_one_local(
     dim: usize,
     segment: usize,
-    tau_scale: f32,
-    radii: &[f32],
-    training: &TrainingSet<'_>,
+    inputs: &SampleInputs<'_>,
     labels: &SegmentLabels,
-    xq_cache: &[Vec<f32>],
-    xc_cache: &[Vec<f32>],
     query_embed: &QueryEmbed,
     cfg: &GlConfig,
     scratch: &mut Scratch,
 ) -> BranchNet {
     let seed = cfg.seed ^ (segment as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     let mut rng = StdRng::seed_from_u64(seed);
-    let n_segments = labels.n_segments();
+    let chosen = local_sample_rows(labels, segment, cfg.max_local_samples, &mut rng);
 
-    // Sample selection: all positives, then at most 2× as many zeros,
-    // within the overall budget.
-    let mut positives: Vec<usize> = Vec::new();
-    let mut zeros: Vec<usize> = Vec::new();
-    for j in 0..labels.n_samples() {
-        if labels.card(j, segment) > 0.0 {
-            positives.push(j);
-        } else {
-            zeros.push(j);
-        }
-    }
-    zeros.shuffle(&mut rng);
-    positives.shuffle(&mut rng);
-    positives.truncate(cfg.max_local_samples);
-    // At most twice the positives, at least a handful so empty segments
-    // still see "no match" examples, and never beyond the overall budget.
-    let remaining = cfg.max_local_samples.saturating_sub(positives.len());
-    let zero_budget = (positives.len() * 2).max(8).min(remaining.max(8));
-    zeros.truncate(zero_budget);
-    let mut chosen = positives;
-    chosen.extend(zeros);
-    if chosen.is_empty() {
-        // Segment never matches any training query; keep the untrained
-        // net (it will predict some constant; the global model will not
-        // select this segment).
-        chosen.push(rng.gen_range(0..labels.n_samples()));
-    }
-
-    let samples = training.samples;
     let train_once = |init_seed: u64, scratch: &mut Scratch| {
         let mut rng = StdRng::seed_from_u64(init_seed);
         let mut net = build_regressor(
             &mut rng,
             dim,
             TAU_DIM,
-            2 * n_segments,
+            2 * labels.n_segments(),
             query_embed,
             &cfg.dims,
         );
-        let mut build = |idx: &[usize]| {
-            let b = idx.len();
-            let mut xq = Matrix::zeros(b, dim);
-            let mut xt = Matrix::zeros(b, TAU_DIM);
-            let mut xc = Matrix::zeros(b, 2 * n_segments);
-            let mut cards = Vec::with_capacity(b);
-            for (r, &local_i) in idx.iter().enumerate() {
-                let j = chosen[local_i];
-                let s = &samples[j];
-                xq.row_mut(r).copy_from_slice(&xq_cache[s.query]);
-                xt.row_mut(r)
-                    .copy_from_slice(&tau_features(s.tau, tau_scale));
-                aux_features_into(&xc_cache[s.query], radii, s.tau, xc.row_mut(r));
-                cards.push(labels.card(j, segment));
-            }
-            (vec![xq, xt, xc], cards)
-        };
         let mut tcfg = cfg.local_train;
         tcfg.seed = init_seed;
         // The segment fan-out already owns the cores; nested gradient-shard
         // threads would only fight it (the sharded result is T-independent,
         // so this changes nothing but scheduling).
         tcfg.threads = 1;
-        train_branch_regression(&mut net, chosen.len(), &mut build, &tcfg);
+        fit_local(&mut net, inputs, labels, segment, &chosen, &tcfg);
         // Fit quality on the positive targets: a local that cannot even
         // reproduce its own training positives would silently destroy the
         // summed estimate, so measure it.
@@ -835,11 +934,8 @@ fn train_one_local(
             if card <= 0.0 {
                 continue;
             }
-            let s = &samples[j];
-            let xq = Matrix::from_row(&xq_cache[s.query]);
-            let xt = Matrix::from_row(&tau_features(s.tau, tau_scale));
-            let xc = Matrix::from_row(&aux_features(&xc_cache[s.query], radii, s.tau));
-            let out = net.infer(&[&xq, &xt, &xc], scratch);
+            let x = inputs.inputs(&[j]);
+            let out = net.infer(&[&x[0], &x[1], &x[2]], scratch);
             let pred = decode_log_card(out.get(0, 0), f32::INFINITY);
             scratch.recycle(out);
             err += cardest_nn::metrics::q_error(pred, card) as f64;

@@ -17,6 +17,7 @@ use crate::arch::{
     build_aux_branch, build_global_head, build_query_branch, build_threshold_branch, tau_features,
     ModelDims, QueryEmbed, TAU_DIM,
 };
+use crate::gl::SampleInputs;
 use crate::labels::SegmentLabels;
 use cardest_baselines::traits::TrainingSet;
 use cardest_nn::net::BranchNet;
@@ -94,23 +95,40 @@ impl GlobalModel {
         let bc = build_aux_branch(&mut rng, aux_dim, cfg.dims.embed_aux);
         let concat = cfg.dims.embed_q + cfg.dims.embed_t + cfg.dims.embed_aux;
         let head = build_global_head(&mut rng, concat, cfg.dims.hidden, n_segments);
-        let mut net = BranchNet::new(vec![bq, bt, bc], vec![dim, TAU_DIM, aux_dim], head);
+        let mut model = GlobalModel {
+            net: BranchNet::new(vec![bq, bt, bc], vec![dim, TAU_DIM, aux_dim], head),
+            sigma: cfg.sigma,
+            n_segments,
+            tau_scale: cfg.tau_scale,
+            radii,
+        };
+        let inputs = SampleInputs {
+            samples: training.samples,
+            xq_cache,
+            xc_cache,
+            radii: model.radii.clone(),
+            tau_scale: model.tau_scale,
+        };
+        let report = model.fit(&inputs, labels, cfg.penalty, &cfg.train);
+        (model, report)
+    }
 
-        let samples = training.samples;
+    /// Trains the network (fresh, or warm when fine-tuning) for `tcfg`'s
+    /// schedule on the selection labels `R^{j}` of the samples in
+    /// `inputs`, positives weighted by `1 + ε^{j}` when `penalty` is on.
+    pub(crate) fn fit(
+        &mut self,
+        inputs: &SampleInputs<'_>,
+        labels: &SegmentLabels,
+        penalty: bool,
+        tcfg: &TrainConfig,
+    ) -> TrainReport {
+        let n_segments = self.n_segments;
         let mut build = |idx: &[usize]| {
-            let b = idx.len();
-            let mut xq = Matrix::zeros(b, dim);
-            let mut xt = Matrix::zeros(b, TAU_DIM);
-            let mut xc = Matrix::zeros(b, aux_dim);
-            let mut lab = Matrix::zeros(b, n_segments);
-            let mut wts = Matrix::zeros(b, n_segments);
+            let mut lab = Matrix::zeros(idx.len(), n_segments);
+            let mut wts = Matrix::zeros(idx.len(), n_segments);
             for (r, &j) in idx.iter().enumerate() {
-                let s = &samples[j];
-                xq.row_mut(r).copy_from_slice(&xq_cache[s.query]);
-                xt.row_mut(r)
-                    .copy_from_slice(&tau_features(s.tau, cfg.tau_scale));
-                crate::gl::aux_features_into(&xc_cache[s.query], &radii, s.tau, xc.row_mut(r));
-                let weights = if cfg.penalty {
+                let weights = if penalty {
                     labels.minmax_weights(j)
                 } else {
                     vec![0.0; n_segments]
@@ -120,19 +138,9 @@ impl GlobalModel {
                     wts.set(r, i, w);
                 }
             }
-            (vec![xq, xt, xc], lab, wts)
+            (inputs.inputs(idx), lab, wts)
         };
-        let report = train_global_classifier(&mut net, samples.len(), &mut build, &cfg.train);
-        (
-            GlobalModel {
-                net,
-                sigma: cfg.sigma,
-                n_segments,
-                tau_scale: cfg.tau_scale,
-                radii,
-            },
-            report,
-        )
+        train_global_classifier(&mut self.net, inputs.samples.len(), &mut build, tcfg)
     }
 
     pub fn n_segments(&self) -> usize {
@@ -199,10 +207,6 @@ impl GlobalModel {
 
     pub fn param_bytes(&self) -> usize {
         self.net.param_bytes()
-    }
-
-    pub fn net_mut(&mut self) -> &mut BranchNet {
-        &mut self.net
     }
 }
 

@@ -281,18 +281,18 @@ impl CardinalityEstimator for JoinEstimator {
 
 /// Member feature matrices `x_q` / aux and the indicating matrix `M`
 /// (mask-based routing) for one join set — shared by the inference and
-/// fine-tuning passes. Without a global model every query routes to every
+/// fine-tuning passes. The overlap features use the model's trained radii,
+/// as serving does. Without a global model every query routes to every
 /// segment.
-fn join_features(
-    segmentation: &cardest_cluster::segmentation::Segmentation,
-    global: Option<&crate::global::GlobalModel>,
+pub(crate) fn join_features(
+    gl: &GlEstimator,
     queries: &VectorData,
     member_ids: &[usize],
     tau: f32,
 ) -> (Matrix, Matrix, Vec<Vec<bool>>) {
+    let segmentation = gl.segmentation();
     let n_segments = segmentation.n_segments();
     let dim = queries.dim();
-    let radii: Vec<f32> = (0..n_segments).map(|i| segmentation.radius(i)).collect();
     let mut xq = Matrix::zeros(member_ids.len(), dim);
     let mut xc = Matrix::zeros(member_ids.len(), n_segments);
     let mut aux = Matrix::zeros(member_ids.len(), 2 * n_segments);
@@ -303,11 +303,11 @@ fn join_features(
         xq.row_mut(r).copy_from_slice(&buf);
         let dists = segmentation.centroid_distances(view);
         aux.row_mut(r)
-            .copy_from_slice(&crate::gl::aux_features(&dists, &radii, tau));
+            .copy_from_slice(&crate::gl::aux_features(&dists, gl.radii(), tau));
         xc.row_mut(r).copy_from_slice(&dists);
     }
     let taus = vec![tau; member_ids.len()];
-    let mask: Vec<Vec<bool>> = match global {
+    let mask: Vec<Vec<bool>> = match gl.global() {
         Some(g) => g.select_batch(&xq, &taus, &xc),
         None => vec![vec![true; n_segments]; member_ids.len()],
     };
@@ -320,7 +320,7 @@ fn join_features(
 fn gl_join_infer(gl: &GlEstimator, queries: &VectorData, member_ids: &[usize], tau: f32) -> f32 {
     let tau_scale = gl.tau_scale();
     let segmentation = gl.segmentation();
-    let (xq, aux, mask) = join_features(segmentation, gl.global(), queries, member_ids, tau);
+    let (xq, aux, mask) = join_features(gl, queries, member_ids, tau);
     cardest_nn::scratch::with_thread_scratch(|scratch| {
         let mut total = 0.0f32;
         for (seg, local) in gl.locals().iter().enumerate() {
@@ -436,7 +436,7 @@ fn gl_join_forward(
     threads: usize,
 ) -> (f32, Vec<SegmentForward>) {
     let tau_scale = gl.tau_scale();
-    let (xq, aux, mask) = join_features(gl.segmentation(), gl.global(), queries, member_ids, tau);
+    let (xq, aux, mask) = join_features(gl, queries, member_ids, tau);
     let (locals, _, segmentation) = gl.parts_mut();
 
     // Mᵀ rows per segment; segments with no routed members drop out before

@@ -5,14 +5,17 @@
 //! phase 2 trains the global model on the binary selection labels
 //! `R^{j}[i] = 1{card^{j}[i] > 0}` with the min-max cardinality weights
 //! `ε^{j}[i]`. All three matrices come from one pass over the exact
-//! distance table and are cached here.
+//! distance table and are cached here. Data updates patch the cached
+//! cardinalities in place ([`SegmentLabels::patch`]), and fine-tuning
+//! (§5.3) trains on the patched labels through training's own code.
 
 use cardest_cluster::segmentation::Segmentation;
 use cardest_data::ground_truth::DistanceTable;
 use cardest_data::workload::SearchSample;
+use serde::{Deserialize, Serialize};
 
 /// Per-(sample, segment) cardinality labels for a fixed segmentation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SegmentLabels {
     n_segments: usize,
     /// `cards[sample * n_segments + segment]`.
@@ -70,6 +73,13 @@ impl SegmentLabels {
     /// Min-max-normalized weights `ε^{j}` for sample `j` (§3.3).
     pub fn minmax_weights(&self, j: usize) -> Vec<f32> {
         cardest_nn::loss::minmax_weights(self.row(j))
+    }
+
+    /// Adds `delta` to `card^{j}[segment]`, clamped at zero: one point of
+    /// `segment` entering (+1) or leaving (−1) sample `j`'s query ball.
+    pub(crate) fn patch(&mut self, j: usize, segment: usize, delta: f32) {
+        let c = &mut self.cards[j * self.n_segments + segment];
+        *c = (*c + delta).max(0.0);
     }
 }
 

@@ -6,19 +6,19 @@
 //! query's threshold bumps that query's cardinality and the owning
 //! segment's share), and only the affected local models plus the global
 //! model are fine-tuned for a couple of epochs — instead of retraining
-//! from scratch.
+//! from scratch. Fine-tuning is the training path itself (sample
+//! selection, batch builders, the model's own radii and sample budget)
+//! run warm on [`UpdateConfig`]'s schedule.
 
-use crate::arch::{tau_features, TAU_DIM};
 use crate::gl::{build_feature_caches, GlEstimator};
+use crate::labels::SegmentLabels;
 use cardest_baselines::traits::CardinalityEstimator;
 use cardest_data::ground_truth::DistanceTable;
 use cardest_data::metric::Metric;
 use cardest_data::vector::{VectorData, VectorView};
 use cardest_data::workload::SearchSample;
 use cardest_nn::metrics::{q_error, ErrorSummary};
-use cardest_nn::parallel::{fan_exclusive, train_threads};
-use cardest_nn::trainer::{train_branch_regression, train_global_classifier, TrainConfig};
-use cardest_nn::Matrix;
+use cardest_nn::trainer::TrainConfig;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
@@ -44,6 +44,18 @@ impl Default for UpdateConfig {
     }
 }
 
+impl UpdateConfig {
+    /// Trainer settings for `epochs` epochs of fine-tuning.
+    fn schedule(&self, epochs: usize) -> TrainConfig {
+        TrainConfig {
+            epochs,
+            batch_size: self.batch_size,
+            learning_rate: self.learning_rate,
+            ..Default::default()
+        }
+    }
+}
+
 /// Probes per `estimate_batch` call in [`UpdatableGl::probe_q_errors`]:
 /// the coalescer's `max_batch`. A local's row group then holds at most 64
 /// rows, under the blocked GEMM's 128-row threading threshold, so the
@@ -60,7 +72,7 @@ struct SnapshotState {
     queries: VectorData,
     train: Vec<SearchSample>,
     test: Vec<SearchSample>,
-    seg_cards: Vec<Vec<f32>>,
+    labels: SegmentLabels,
     deleted: Vec<bool>,
     cfg: UpdateConfig,
 }
@@ -74,8 +86,8 @@ pub struct UpdatableGl {
     queries: VectorData,
     train: Vec<SearchSample>,
     test: Vec<SearchSample>,
-    /// Per-training-sample per-segment cardinalities (mutable labels).
-    seg_cards: Vec<Vec<f32>>,
+    /// Per-training-sample per-segment cardinalities, patched on updates.
+    labels: SegmentLabels,
     /// Cached query features (queries do not change on data updates).
     xq_cache: Vec<Vec<f32>>,
     xc_cache: Vec<Vec<f32>>,
@@ -98,22 +110,7 @@ impl UpdatableGl {
         table: &DistanceTable,
         cfg: UpdateConfig,
     ) -> Self {
-        let n_segments = gl.segmentation().n_segments();
-        let seg_cards: Vec<Vec<f32>> = train
-            .iter()
-            .map(|s| {
-                table
-                    .segment_cardinalities(
-                        s.query,
-                        s.tau,
-                        gl.segmentation().assignment(),
-                        n_segments,
-                    )
-                    .into_iter()
-                    .map(|c| c as f32)
-                    .collect()
-            })
-            .collect();
+        let labels = SegmentLabels::compute(table, &train, gl.segmentation());
         let (xq_cache, xc_cache) = build_feature_caches(&queries, gl.segmentation());
         let deleted = vec![false; data.len()];
         UpdatableGl {
@@ -123,7 +120,7 @@ impl UpdatableGl {
             queries,
             train,
             test,
-            seg_cards,
+            labels,
             xq_cache,
             xc_cache,
             deleted,
@@ -217,8 +214,7 @@ impl UpdatableGl {
         }
         let affected: Vec<usize> = affected.into_iter().collect();
         if finetune {
-            self.finetune_locals(&affected);
-            self.finetune_global();
+            self.finetune(&affected);
         }
         affected
     }
@@ -238,23 +234,26 @@ impl UpdatableGl {
         }
         let affected: Vec<usize> = affected.into_iter().collect();
         if finetune {
-            self.finetune_locals(&affected);
-            self.finetune_global();
+            self.finetune(&affected);
         }
         affected
     }
 
     /// Fine-tunes the local models owning `affected` plus the global model
-    /// — the §5.3 schedule, exposed so the drift monitor's background
-    /// worker can trigger it outside an insert/delete call. The segment
-    /// list is de-duplicated here, so callers may pass raw trigger lists.
+    /// on the patched labels — the §5.3 schedule, exposed so the drift
+    /// monitor's background worker can trigger it outside an insert/delete
+    /// call. Duplicate and unknown segment ids are ignored, so callers may
+    /// pass raw trigger lists.
     pub fn finetune(&mut self, affected: &[usize]) {
-        let mut segs = affected.to_vec();
-        segs.sort_unstable();
-        segs.dedup();
-        segs.retain(|&s| s < self.gl.segmentation().n_segments());
-        self.finetune_locals(&segs);
-        self.finetune_global();
+        let inputs = self
+            .gl
+            .sample_inputs(&self.train, &self.xq_cache, &self.xc_cache);
+        let cfg = self.cfg;
+        let local = cfg.schedule(cfg.local_epochs);
+        self.gl
+            .finetune_locals(&inputs, &self.labels, affected, &local);
+        let global = cfg.schedule(cfg.global_epochs);
+        self.gl.finetune_global(&inputs, &self.labels, &global);
     }
 
     /// Number of live (non-tombstoned) points.
@@ -279,158 +278,13 @@ impl UpdatableGl {
         for (j, s) in self.train.iter_mut().enumerate() {
             if qdist[s.query] <= s.tau {
                 s.card = (s.card + delta).max(0.0);
-                self.seg_cards[j][seg] = (self.seg_cards[j][seg] + delta).max(0.0);
+                self.labels.patch(j, seg, delta);
             }
         }
         for s in self.test.iter_mut() {
             if qdist[s.query] <= s.tau {
                 s.card = (s.card + delta).max(0.0);
             }
-        }
-    }
-
-    /// Short fine-tuning of the local models owning the affected segments,
-    /// fanned across scoped threads (each affected segment's model and
-    /// sample subset are independent given the patched labels).
-    // The slot-take `expect` encodes the de-duplicated `affected` list
-    // invariant; a violation must abort rather than alias a local model.
-    #[allow(clippy::expect_used)]
-    fn finetune_locals(&mut self, affected: &[usize]) {
-        let dim = self.queries.dim();
-        let tau_scale = self.gl.tau_scale();
-        let n_segments = self.gl.segmentation().n_segments();
-        let radii: Vec<f32> = (0..n_segments)
-            .map(|i| self.gl.segmentation().radius(i))
-            .collect();
-        // Sample selection happens before the fan so job weights (sample
-        // counts) are known and empty segments drop out.
-        let mut seg_chosen: Vec<(usize, Vec<usize>)> = Vec::new();
-        for &seg in affected {
-            // Samples with mass in this segment plus a slice of zeros.
-            let mut chosen: Vec<usize> = (0..self.train.len())
-                .filter(|&j| self.seg_cards[j][seg] > 0.0)
-                .collect();
-            let zeros: Vec<usize> = (0..self.train.len())
-                // cardest-lint: allow(float-total-order): exact zero sentinel — labels are set to the 0.0 literal, never computed
-                .filter(|&j| self.seg_cards[j][seg] == 0.0)
-                .take(chosen.len().max(16))
-                .collect();
-            chosen.extend(zeros);
-            if !chosen.is_empty() {
-                seg_chosen.push((seg, chosen));
-            }
-        }
-        let train = &self.train;
-        let seg_cards = &self.seg_cards;
-        let xq_cache = &self.xq_cache;
-        let xc_cache = &self.xc_cache;
-        let radii = &radii;
-        let (local_epochs, batch_size, learning_rate) = (
-            self.cfg.local_epochs,
-            self.cfg.batch_size,
-            self.cfg.learning_rate,
-        );
-        // `affected` is a de-duplicated segment list (BTreeSet upstream),
-        // so slot-take hands each job a distinct local model.
-        let mut slots: Vec<Option<&mut cardest_nn::net::BranchNet>> =
-            self.gl.locals_mut().iter_mut().map(Some).collect();
-        let jobs: Vec<_> = seg_chosen
-            .into_iter()
-            .map(|(seg, chosen)| {
-                // cardest-lint: allow(serving-panic-reachability): the `affected` list is de-duplicated; a second take would alias a local model
-                let local = slots[seg].take().expect("affected segments are unique");
-                let weight = chosen.len();
-                (seg, (local, chosen), weight)
-            })
-            .collect();
-        fan_exclusive(
-            jobs,
-            train_threads(),
-            |seg, (local, chosen): (_, Vec<usize>)| {
-                let mut build = |idx: &[usize]| {
-                    let b = idx.len();
-                    let mut xq = Matrix::zeros(b, dim);
-                    let mut xt = Matrix::zeros(b, TAU_DIM);
-                    let mut xc = Matrix::zeros(b, 2 * n_segments);
-                    let mut cards = Vec::with_capacity(b);
-                    for (r, &ci) in idx.iter().enumerate() {
-                        let j = chosen[ci];
-                        let s = &train[j];
-                        xq.row_mut(r).copy_from_slice(&xq_cache[s.query]);
-                        xt.row_mut(r)
-                            .copy_from_slice(&tau_features(s.tau, tau_scale));
-                        xc.row_mut(r).copy_from_slice(&crate::gl::aux_features(
-                            &xc_cache[s.query],
-                            radii,
-                            s.tau,
-                        ));
-                        cards.push(seg_cards[j][seg]);
-                    }
-                    (vec![xq, xt, xc], cards)
-                };
-                let tcfg = TrainConfig {
-                    epochs: local_epochs,
-                    batch_size,
-                    learning_rate,
-                    seed: seg as u64,
-                    // The outer fan already owns the cores; sharded
-                    // training is thread-count independent, so forcing the
-                    // inner level sequential changes nothing but contention.
-                    threads: 1,
-                    ..Default::default()
-                };
-                let n = chosen.len();
-                train_branch_regression(local, n, &mut build, &tcfg);
-            },
-        );
-    }
-
-    /// Short fine-tuning of the global model on the patched labels.
-    fn finetune_global(&mut self) {
-        let dim = self.queries.dim();
-        let tau_scale = self.gl.tau_scale();
-        let n_segments = self.gl.segmentation().n_segments();
-        let radii: Vec<f32> = (0..n_segments)
-            .map(|i| self.gl.segmentation().radius(i))
-            .collect();
-        let train = &self.train;
-        let seg_cards = &self.seg_cards;
-        let xq_cache = &self.xq_cache;
-        let xc_cache = &self.xc_cache;
-        let mut build = |idx: &[usize]| {
-            let b = idx.len();
-            let mut xq = Matrix::zeros(b, dim);
-            let mut xt = Matrix::zeros(b, TAU_DIM);
-            let mut xc = Matrix::zeros(b, 2 * n_segments);
-            let mut lab = Matrix::zeros(b, n_segments);
-            let mut wts = Matrix::zeros(b, n_segments);
-            for (r, &j) in idx.iter().enumerate() {
-                let s = &train[j];
-                xq.row_mut(r).copy_from_slice(&xq_cache[s.query]);
-                xt.row_mut(r)
-                    .copy_from_slice(&tau_features(s.tau, tau_scale));
-                xc.row_mut(r).copy_from_slice(&crate::gl::aux_features(
-                    &xc_cache[s.query],
-                    &radii,
-                    s.tau,
-                ));
-                let weights = cardest_nn::loss::minmax_weights(&seg_cards[j]);
-                for i in 0..n_segments {
-                    lab.set(r, i, if seg_cards[j][i] > 0.0 { 1.0 } else { 0.0 });
-                    wts.set(r, i, weights[i]);
-                }
-            }
-            (vec![xq, xt, xc], lab, wts)
-        };
-        let tcfg = TrainConfig {
-            epochs: self.cfg.global_epochs,
-            batch_size: self.cfg.batch_size,
-            learning_rate: self.cfg.learning_rate,
-            ..Default::default()
-        };
-        let n = self.train.len();
-        if let Some(g) = self.gl.global_mut() {
-            train_global_classifier(g.net_mut(), n, &mut build, &tcfg);
         }
     }
 
@@ -449,7 +303,7 @@ impl UpdatableGl {
             queries: self.queries.clone(),
             train: self.train.clone(),
             test: self.test.clone(),
-            seg_cards: self.seg_cards.clone(),
+            labels: self.labels.clone(),
             deleted: self.deleted.clone(),
             cfg: self.cfg,
         };
@@ -468,7 +322,7 @@ impl UpdatableGl {
             queries: state.queries,
             train: state.train,
             test: state.test,
-            seg_cards: state.seg_cards,
+            labels: state.labels,
             xq_cache,
             xc_cache,
             deleted: state.deleted,
@@ -516,20 +370,43 @@ impl UpdatableGl {
 mod tests {
     use super::*;
     use crate::gl::{GlConfig, GlVariant};
+    use crate::join::join_features;
     use crate::tuning::TuningConfig;
     use cardest_baselines::traits::TrainingSet;
     use cardest_data::paper::{DatasetSpec, PaperDataset};
+    use cardest_data::vector::DenseData;
     use cardest_data::workload::SearchWorkload;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    fn build(spec: &DatasetSpec, cfg: &GlConfig, seed: u64) -> UpdatableGl {
+        let data = spec.generate(seed);
+        let w = SearchWorkload::build(&data, spec, seed);
+        let training = TrainingSet::new(&w.queries, &w.train);
+        let gl = GlEstimator::train(&data, spec.metric, &training, &w.table, cfg);
+        UpdatableGl::new(
+            data,
+            spec.metric,
+            gl,
+            w.queries,
+            w.train,
+            w.test,
+            &w.table,
+            UpdateConfig::default(),
+        )
+    }
 
     fn setup(seed: u64) -> (UpdatableGl, DatasetSpec) {
+        setup_on(PaperDataset::ImageNet, seed)
+    }
+
+    fn setup_on(dataset: PaperDataset, seed: u64) -> (UpdatableGl, DatasetSpec) {
         let spec = DatasetSpec {
             n_data: 500,
             n_train_queries: 40,
             n_test_queries: 15,
-            ..PaperDataset::ImageNet.spec()
+            ..dataset.spec()
         };
-        let data = spec.generate(seed);
-        let w = SearchWorkload::build(&data, &spec, seed);
         let cfg = GlConfig {
             variant: GlVariant::GlCnn,
             n_segments: 6,
@@ -547,19 +424,7 @@ mod tests {
             tuning_segments: 1,
             ..Default::default()
         };
-        let training = TrainingSet::new(&w.queries, &w.train);
-        let gl = GlEstimator::train(&data, spec.metric, &training, &w.table, &cfg);
-        let upd = UpdatableGl::new(
-            data,
-            spec.metric,
-            gl,
-            w.queries,
-            w.train,
-            w.test,
-            &w.table,
-            UpdateConfig::default(),
-        );
-        (upd, spec)
+        (build(&spec, &cfg, seed), spec)
     }
 
     #[test]
@@ -583,7 +448,7 @@ mod tests {
                 .count() as f32;
             assert_eq!(s.card - before[j], expected_gain, "sample {j}");
             // Segment shares still partition the total.
-            let seg_total: f32 = upd.seg_cards[j].iter().sum();
+            let seg_total: f32 = upd.labels.row(j).iter().sum();
             assert_eq!(seg_total, s.card, "sample {j} segment shares drifted");
         }
     }
@@ -606,6 +471,102 @@ mod tests {
             after < before * 3.0 + 5.0,
             "accuracy collapsed after updates: {before} → {after}"
         );
+    }
+
+    #[test]
+    #[ignore = "heavyweight: trains an Exp-11-quality GL-CNN and fine-tunes it ten times; run with `cargo test -- --ignored`"]
+    fn finetuning_keeps_a_well_trained_model_flat() {
+        // Fig. 15's protocol (GloVe300, GL-CNN, ten copied rows per op,
+        // default schedule) on the smallest model trained to the full
+        // run's op-0 quality (mean test q-error ≈ 1.7). A budget of 180
+        // of the 600 samples keeps full scale's 30% (2,400 of 8,000). A
+        // fine-tune that selects samples differently from training takes
+        // this model from 1.68 to ~8.
+        let seed = 42;
+        let spec = DatasetSpec {
+            n_data: 1000,
+            n_train_queries: 60,
+            n_test_queries: 20,
+            ..PaperDataset::GloVe300.spec()
+        };
+        let schedule = |epochs| TrainConfig {
+            epochs,
+            batch_size: 128,
+            learning_rate: 2e-3,
+            seed,
+            ..Default::default()
+        };
+        let cfg = GlConfig {
+            variant: GlVariant::GlCnn,
+            n_segments: 8,
+            local_train: schedule(30),
+            global_train: schedule(25),
+            max_local_samples: 180,
+            seed,
+            ..Default::default()
+        };
+        let mut upd = build(&spec, &cfg, seed);
+        let before = upd.mean_test_q_error();
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xF15);
+        for _ in 0..10 {
+            let ids: Vec<usize> = (0..10).map(|_| rng.gen_range(0..spec.n_data)).collect();
+            let pts = upd.data.gather(&ids);
+            upd.insert(&pts, true);
+        }
+        let after = upd.mean_test_q_error();
+        assert!(
+            after <= before * 1.1,
+            "fine-tuning degraded the model: mean test q-error {before} → {after}"
+        );
+    }
+
+    #[test]
+    fn finetuning_joins_and_serving_share_the_trained_radii() {
+        let (mut upd, _) = setup_on(PaperDataset::YouTube, 136);
+        // A row shifted far off the data lies outside every segment's ball.
+        let mut row = Vec::new();
+        upd.data.view(0).write_dense(&mut row);
+        row.iter_mut().for_each(|v| *v += 10.0);
+        let far = DenseData::from_flat(row.len(), row);
+        let p = VectorView::Dense(far.row(0));
+        let seg = upd.gl.segmentation();
+        let dists = seg.centroid_distances(p);
+        assert!((0..seg.n_segments()).all(|s| dists[s] > seg.radius(s)));
+        let owner = seg.nearest_segment(p);
+        let trained = seg.radius(owner);
+        upd.apply_insert(p);
+        let grown = upd.gl.segmentation().radius(owner);
+        assert!(grown > trained + 1.0, "radius {trained} → {grown}");
+
+        let n = upd.gl.n_segments();
+        let inputs = upd
+            .gl
+            .sample_inputs(&upd.train, &upd.xq_cache, &upd.xc_cache);
+        for j in (0..upd.train.len()).step_by(7) {
+            let s = upd.train[j];
+            let served = upd.gl.batch_inputs(&[(upd.queries.view(s.query), s.tau)]);
+            let tuned = inputs.inputs(&[j]);
+            let (join_xq, join_aux, _) = join_features(&upd.gl, &upd.queries, &[s.query], s.tau);
+            assert_eq!(tuned[0].row(0), served.xq.row(0));
+            assert_eq!(join_xq.row(0), served.xq.row(0));
+            assert_eq!(tuned[1].row(0), served.xt.row(0));
+            // Serving computes L2 centroid distances through dot products,
+            // so the rows agree up to rounding — far below the radius
+            // growth that a grown-radius overlap column would show.
+            for c in 0..2 * n {
+                let want = served.aux.get(0, c);
+                assert!(
+                    (tuned[2].get(0, c) - want).abs() < 1e-3,
+                    "sample {j} col {c}"
+                );
+                assert!(
+                    (join_aux.get(0, c) - want).abs() < 1e-3,
+                    "sample {j} col {c}"
+                );
+            }
+            let stale = s.tau - (served.xcd.get(0, owner) - grown);
+            assert!((served.aux.get(0, n + owner) - stale).abs() > 1.0);
+        }
     }
 
     #[test]
