@@ -24,6 +24,15 @@
 #                std::thread::available_parallelism;
 #   bench-build  benches must keep compiling (perf regression harness),
 #                but running them is not a CI concern;
+#   perfbench    `cargo check` of the serving benchmark. perfbench/ is a
+#                cargo package of its own, outside the workspace, so no
+#                other lane compiles it, yet its in-process twins call the
+#                store, drift and snapshot APIs (`DriftMonitor::new`,
+#                `estimator_mut().apply_insert`, `snapshot_json`,
+#                `write_snapshot`). A change to those then fails here, not in
+#                the next benchmark run. `--locked` holds it to perfbench's
+#                own Cargo.lock; it builds into the git-ignored
+#                perfbench/target;
 #   test         `cargo test --workspace`: every suite, including the
 #                fault-injection, server smoke, ingestion, crash-matrix and
 #                replication batteries (each wait in them is
@@ -69,5 +78,6 @@ lane cardest-lint cargo run -p cardest-lint ${CARGO_FLAGS:-} -- --format=json \
                       --baseline=crates/lint/baseline.txt --report=LINT_REPORT.json crates
 lane clippy       cargo clippy --workspace --all-targets ${CARGO_FLAGS:-} -- -D warnings
 lane bench-build  cargo bench --workspace ${CARGO_FLAGS:-} --no-run
+lane perfbench    cargo check --manifest-path perfbench/Cargo.toml --locked ${CARGO_FLAGS:-}
 lane test         cargo test --workspace ${CARGO_FLAGS:-} -q
 lane heavy        cargo test --workspace ${CARGO_FLAGS:-} -q -- --ignored

@@ -24,8 +24,10 @@ use serde::{Deserialize, Serialize};
 /// Drift-monitor thresholds.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct DriftConfig {
-    /// Inserts between quality checks (a check costs one probe-set
-    /// evaluation, so checks are batched).
+    /// Inserts between quality checks. A check re-sums the probe set's
+    /// cached local outputs under the current member counts; the models
+    /// run over the probes only for the first sweep after a load or a
+    /// fine-tune.
     pub check_every: usize,
     /// Segments with fewer probes than this never fire (their mean is
     /// too noisy to act on).

@@ -440,6 +440,13 @@ impl GlEstimator {
     /// If the global model selects nothing, the segment with the nearest
     /// centroid is evaluated as a fallback (a selectivity-0 answer is
     /// almost always wrong for a query drawn from the data).
+    ///
+    /// The work splits in two halves: [`GlEstimator::local_outputs`]
+    /// depends only on the weights, centroids, trained radii and τ scale,
+    /// none of which an insert or delete moves;
+    /// [`GlEstimator::sum_local_outputs`] applies the member-count caps,
+    /// which they do move. The drift monitor keeps the first half of its
+    /// probe sweep across inserts.
     pub fn estimate_batch_with_stats(
         &self,
         queries: &[(VectorView<'_>, f32)],
@@ -447,6 +454,13 @@ impl GlEstimator {
         if queries.is_empty() {
             return Vec::new();
         }
+        self.sum_local_outputs(&self.local_outputs(queries))
+    }
+
+    /// The weight-dependent half of [`GlEstimator::estimate_batch_with_stats`]:
+    /// batch inputs, global routing and recall guards, and every selected
+    /// local's raw `ln card` output.
+    pub(crate) fn local_outputs(&self, queries: &[(VectorView<'_>, f32)]) -> LocalOutputs {
         let b = queries.len();
         let n_seg = self.locals.len();
         let taus: Vec<f32> = queries.iter().map(|&(_, tau)| tau).collect();
@@ -538,13 +552,25 @@ impl GlEstimator {
                 }
             });
         }
+        LocalOutputs {
+            len: b,
+            groups,
+            seg_preds,
+        }
+    }
 
+    /// The cap-dependent half of [`GlEstimator::estimate_batch_with_stats`]:
+    /// decodes each raw output under its segment's current member count,
+    /// drops contributions below the 0.5 cut and falls back to the largest
+    /// single one. Returns per-query estimates and local counts.
+    pub(crate) fn sum_local_outputs(&self, outputs: &LocalOutputs) -> Vec<(f32, usize)> {
+        let b = outputs.len;
         // Accumulate per query in ascending segment order (identical to the
         // sequential evaluation order).
         let mut totals = vec![0.0f32; b];
         let mut max_single = vec![0.0f32; b];
         let mut evaluated = vec![0usize; b];
-        for (i, (rows, preds)) in groups.iter().zip(&seg_preds).enumerate() {
+        for (i, (rows, preds)) in outputs.groups.iter().zip(&outputs.seg_preds).enumerate() {
             let cap = self.segmentation.members(i).len() as f32;
             for (&r, &o) in rows.iter().zip(preds) {
                 evaluated[r] += 1;
@@ -781,6 +807,18 @@ fn tune_shared_embedding(
     }
     best.map(|(_, e)| e)
         .unwrap_or_else(|| QueryEmbed::default_cnn(dim, cfg.n_query_segments))
+}
+
+/// The weight-dependent half of a batch estimate
+/// ([`GlEstimator::local_outputs`]): which locals each query selected and
+/// their raw `ln card` outputs.
+pub(crate) struct LocalOutputs {
+    /// Queries in the batch.
+    pub(crate) len: usize,
+    /// Per segment, the batch rows that selected it, ascending.
+    pub(crate) groups: Vec<Vec<usize>>,
+    /// Per segment, the local's raw output for each of its rows.
+    pub(crate) seg_preds: Vec<Vec<f32>>,
 }
 
 /// A query batch's model inputs as serving builds them: `x_q`, the raw

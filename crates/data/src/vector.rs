@@ -6,13 +6,85 @@
 //! vectors). Binary data is stored one `u64` word per 64 dimensions so that
 //! Hamming/Jaccard ground-truth labelling runs at popcount speed.
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Error, Serialize, Value};
 
 /// Dense row-major `f32` vector collection (`n × dim`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Serializes as `{"dim": d, "bits": "…"}`: each value's `f32` bit
+/// pattern as 8 lowercase hex digits, most significant first, in row-major
+/// order. The encoding is exact for every value, `-0.0` and NaN payloads
+/// included, and costs 8 bytes per value.
+#[derive(Debug, Clone, PartialEq)]
 pub struct DenseData {
     dim: usize,
     values: Vec<f32>,
+}
+
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
+impl Serialize for DenseData {
+    fn serialize(&self) -> Value {
+        let mut hex = Vec::with_capacity(8 * self.values.len());
+        for v in &self.values {
+            let bits = v.to_bits();
+            let digits: [u8; 8] =
+                std::array::from_fn(|k| HEX_DIGITS[(bits >> (28 - 4 * k)) as usize & 0xf]);
+            hex.extend_from_slice(&digits);
+        }
+        // Hex digits are ASCII, so the conversion cannot fail.
+        let hex = String::from_utf8(hex)
+            .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned());
+        Value::Map(vec![
+            ("dim".to_string(), self.dim.serialize()),
+            ("bits".to_string(), Value::Str(hex)),
+        ])
+    }
+}
+
+impl Deserialize for DenseData {
+    fn deserialize(v: &Value) -> Result<Self, Error> {
+        let map = v.expect_map("DenseData")?;
+        let dim: usize = serde::get_field(map, "dim", "DenseData")?;
+        // Borrowed: `get_field` would copy a string of megabytes.
+        let hex = match map.iter().find(|(k, _)| k == "bits") {
+            Some((_, Value::Str(hex))) => hex.as_bytes(),
+            Some((_, other)) => {
+                return Err(Error::msg(format!(
+                    "expected a string for DenseData bits, found {}",
+                    other.describe()
+                )))
+            }
+            None => return Err(Error::msg("missing field `bits` for DenseData")),
+        };
+        if dim == 0 {
+            return Err(Error::msg("DenseData dim must be positive"));
+        }
+        // `dim` comes from the input, so `8 * dim` may overflow.
+        if hex.len() % 8 != 0 || (hex.len() / 8) % dim != 0 {
+            return Err(Error::msg(format!(
+                "DenseData bits hold {} bytes, not a multiple of 8 × dim {dim}",
+                hex.len()
+            )));
+        }
+        let mut values = Vec::with_capacity(hex.len() / 8);
+        for (i, word) in hex.chunks_exact(8).enumerate() {
+            let mut bits = 0u32;
+            for &c in word {
+                let nibble = match c {
+                    b'0'..=b'9' => c - b'0',
+                    b'a'..=b'f' => c - b'a' + 10,
+                    _ => {
+                        return Err(Error::msg(format!(
+                            "DenseData bits: value {i} holds a byte {c:#04x} that is not a lowercase hex digit"
+                        )))
+                    }
+                };
+                bits = bits << 4 | u32::from(nibble);
+            }
+            values.push(f32::from_bits(bits));
+        }
+        Ok(DenseData { dim, values })
+    }
 }
 
 impl DenseData {
@@ -401,6 +473,65 @@ mod tests {
                 assert_eq!(a, b)
             }
             _ => unreachable!(),
+        }
+    }
+
+    #[test]
+    fn dense_json_round_trips_bit_patterns() {
+        let specials = [
+            -0.0f32,
+            f32::from_bits(1),
+            f32::MAX,
+            f32::from_bits(0x7fc0_1234),
+            f32::from_bits(0xffa0_0001),
+            0.1,
+            -1.5,
+        ];
+        let d = DenseData::from_flat(1, specials.to_vec());
+        let json = serde_json::to_string(&d).unwrap();
+        assert!(
+            json.contains("\"bits\":\"80000000000000017f7fffff7fc01234"),
+            "{json}"
+        );
+        let back: DenseData = serde_json::from_str(&json).unwrap();
+        assert_eq!(back.dim(), 1);
+        let bits = |d: &DenseData| d.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&back), bits(&d));
+        let empty: DenseData = serde_json::from_str(r#"{"dim":3,"bits":""}"#).unwrap();
+        assert!(empty.is_empty());
+    }
+
+    #[test]
+    fn dense_json_rejects_malformed_bits() {
+        for (doc, msg) in [
+            (
+                r#"{"dim":1,"bits":"3f80000"}"#,
+                "not a multiple of 8 × dim 1",
+            ),
+            (
+                r#"{"dim":1,"bits":"3f8000000"}"#,
+                "not a multiple of 8 × dim 1",
+            ),
+            (
+                r#"{"dim":2,"bits":"3f800000"}"#,
+                "not a multiple of 8 × dim 2",
+            ),
+            (r#"{"dim":1,"bits":"3f80000g"}"#, "byte 0x67"),
+            (r#"{"dim":1,"bits":"3F800000"}"#, "byte 0x46"),
+            (r#"{"dim":1,"bits":"+f800000"}"#, "byte 0x2b"),
+            (r#"{"dim":1,"bits":"3f8000é"}"#, "byte 0xc3"),
+            (r#"{"dim":1,"bits":"3f80é00"}"#, "byte 0xc3"),
+            (r#"{"dim":0,"bits":""}"#, "dim must be positive"),
+            (r#"{"dim":0,"bits":"3f800000"}"#, "dim must be positive"),
+            (
+                r#"{"dim":4611686018427387904,"bits":"3f800000"}"#,
+                "not a multiple of 8 × dim 4611686018427387904",
+            ),
+            (r#"{"dim":1,"bits":[1.0]}"#, "expected a string"),
+            (r#"{"dim":1,"values":[1.0]}"#, "missing field `bits`"),
+        ] {
+            let err = serde_json::from_str::<DenseData>(doc).expect_err(doc);
+            assert!(err.to_string().contains(msg), "{doc}: {err}");
         }
     }
 

@@ -27,6 +27,7 @@
 //! module only knows about byte containers.
 
 use std::fmt;
+use std::io::Write as _;
 use std::path::Path;
 
 /// Leading magic bytes of every artifact file.
@@ -251,26 +252,37 @@ pub fn read_kind(path: &Path) -> Result<String, ArtifactError> {
 
 /// Writes an encoded artifact via temp file + atomic rename in the target
 /// directory: readers see either the old complete file or the new one,
-/// never a torn prefix.
+/// never a torn prefix. The temp file is synced before the rename and the
+/// directory after it, so once this returns the new file survives a power
+/// loss; a store may then drop the WAL records it covers.
 pub fn write_atomic(path: &Path, kind: &str, payload: &[u8]) -> Result<(), ArtifactError> {
     let bytes = encode(kind, payload);
-    let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
+    let dir = path
+        .parent()
+        .filter(|p| !p.as_os_str().is_empty())
+        .unwrap_or(Path::new("."));
     let file_name = path
         .file_name()
         .ok_or_else(|| ArtifactError::Io(format!("no file name in {}", path.display())))?;
     let mut tmp_name = std::ffi::OsString::from(".");
     tmp_name.push(file_name);
     tmp_name.push(format!(".tmp.{}", std::process::id()));
-    let tmp = match dir {
-        Some(d) => d.join(&tmp_name),
-        None => std::path::PathBuf::from(&tmp_name),
-    };
+    let tmp = dir.join(&tmp_name);
     let io = |e: std::io::Error| ArtifactError::Io(e.to_string());
-    std::fs::write(&tmp, &bytes).map_err(io)?;
-    std::fs::rename(&tmp, path).map_err(|e| {
-        let _ = std::fs::remove_file(&tmp);
-        io(e)
-    })
+    let write_synced = || {
+        let mut file = std::fs::File::create(&tmp)?;
+        file.write_all(&bytes)?;
+        file.sync_all()
+    };
+    write_synced()
+        .and_then(|()| std::fs::rename(&tmp, path))
+        .map_err(|e| {
+            let _ = std::fs::remove_file(&tmp);
+            io(e)
+        })?;
+    std::fs::File::open(dir)
+        .and_then(|d| d.sync_all())
+        .map_err(io)
 }
 
 /// Reads and verifies an artifact, returning the payload bytes.
@@ -484,6 +496,26 @@ mod tests {
             leftovers.is_empty(),
             "temp files left behind: {leftovers:?}"
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn failed_rename_removes_the_temp_file() {
+        let dir =
+            std::env::temp_dir().join(format!("cardest-artifact-fail-{}", std::process::id()));
+        // The target is a non-empty directory, so the rename fails.
+        let path = dir.join("model.cardest");
+        std::fs::create_dir_all(path.join("occupied")).unwrap();
+        assert!(matches!(
+            write_atomic(&path, "k", b"hello"),
+            Err(ArtifactError::Io(_))
+        ));
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .filter_map(|e| e.ok())
+            .map(|e| e.file_name())
+            .collect();
+        assert_eq!(names, vec![std::ffi::OsString::from("model.cardest")]);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -3,7 +3,9 @@
 //!
 //! The request thread does only the durable part of an insert — validate,
 //! WAL append, pure apply (see `cardest_store::DurableIngest`) — and a
-//! drift *check* every `check_every` inserts (one probe-set evaluation).
+//! drift *check* every `check_every` inserts (a re-sum of the probe set's
+//! cached local outputs; the models run over the probes only after a
+//! fine-tune).
 //! When a check fires, the affected segment ids are queued and a single
 //! background worker does the expensive half: fine-tune the fired locals
 //! plus the global model, save the result as a GL artifact, snapshot the

@@ -21,7 +21,7 @@ use cardest_data::vector::VectorData;
 use cardest_data::workload::SearchWorkload;
 use cardest_nn::trainer::TrainConfig;
 use cardest_store::crash::{install_torn_wal, kill_offsets, records_surviving};
-use cardest_store::ingest::{DurableIngest, StoreConfig, SNAPSHOT_FILE, WAL_FILE};
+use cardest_store::ingest::{DurableIngest, StoreConfig, StoreError, SNAPSHOT_FILE, WAL_FILE};
 use cardest_store::wal::{scan, HEADER_LEN};
 use std::path::{Path, PathBuf};
 
@@ -469,4 +469,32 @@ fn snapshot_mid_stream_matches_straight_through_replay() {
     std::fs::remove_dir_all(&dir_a).ok();
     std::fs::remove_dir_all(&dir_b).ok();
     std::fs::remove_dir_all(&dir_c).ok();
+}
+
+#[test]
+fn malformed_dense_bits_are_a_typed_error_on_install_and_recovery() {
+    // A standby decodes the snapshots a peer sends it, and recovery the
+    // file on disk: a bad hex digit in the dataset must surface as an
+    // error and leave the store as it was.
+    let upd = setup(PaperDataset::GloVe300, 54);
+    let json = upd.snapshot_json().unwrap();
+    let at = json.find("\"bits\":\"").unwrap() + "\"bits\":\"".len();
+    let mut bad = json.into_bytes();
+    bad[at] = b'g';
+    let dir = tmp_dir("badbits");
+    let mut store = DurableIngest::create(&dir, upd, matrix_cfg()).unwrap();
+    let fp = store.fingerprint().unwrap();
+    match store.install_snapshot(5, &bad) {
+        Err(StoreError::Serde(msg)) => assert!(msg.contains("not a lowercase hex digit"), "{msg}"),
+        other => panic!("installed a malformed snapshot: {other:?}"),
+    }
+    assert_eq!(store.last_seq(), 0);
+    assert_eq!(store.fingerprint().unwrap(), fp);
+    drop(store);
+    cardest_store::write_snapshot(&dir.join(SNAPSHOT_FILE), 0, &bad).unwrap();
+    assert!(matches!(
+        DurableIngest::open(&dir, matrix_cfg()),
+        Err(StoreError::Serde(_))
+    ));
+    std::fs::remove_dir_all(&dir).ok();
 }

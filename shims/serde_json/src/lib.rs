@@ -101,21 +101,32 @@ fn write_value(v: &Value, out: &mut String) {
     }
 }
 
+/// Writes `s` as a JSON string. Runs free of `"`, `\` and control
+/// characters are copied with one `push_str` each; only the bytes that
+/// need escaping are looked at one by one.
 fn write_string(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    let mut rest = s;
+    // Every byte that needs escaping is ASCII, so each split falls on a
+    // character boundary.
+    while let Some(i) = rest
+        .bytes()
+        .position(|b| b == b'"' || b == b'\\' || b < 0x20)
+    {
+        out.push_str(&rest[..i]);
+        match rest.as_bytes()[i] {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            c => {
+                let _ = write!(out, "\\u{c:04x}");
             }
-            c => out.push(c),
         }
+        rest = &rest[i + 1..];
     }
+    out.push_str(rest);
     out.push('"');
 }
 
@@ -522,6 +533,11 @@ mod tests {
             (Value::Float(f64::NEG_INFINITY), "null"),
             (Value::UInt(u64::MAX), "18446744073709551615"),
             (Value::Int(i64::MIN), "-9223372036854775808"),
+            (Value::Str(String::new()), "\"\""),
+            (
+                Value::Str("\\a\tb\rc\u{1f}\u{7f}é\"".to_string()),
+                "\"\\\\a\\tb\\rc\\u001f\u{7f}é\\\"\"",
+            ),
             (
                 nested,
                 "{\"a\":[1,-2,0.5,{\"b\":null,\"c\":true}],\"d\":\"x\\\"y\\n\\u0001✓\",\"e\":{}}",
