@@ -26,12 +26,21 @@
 #                but running them is not a CI concern;
 #   perfbench    `cargo check` of the serving benchmark. perfbench/ is a
 #                cargo package of its own, outside the workspace, so no
-#                other lane compiles it, yet its in-process twins call the
-#                store, drift and snapshot APIs (`DriftMonitor::new`,
-#                `estimator_mut().apply_insert`, `snapshot_json`,
-#                `write_snapshot`). A change to those then fails here, not in
-#                the next benchmark run. `--locked` holds it to perfbench's
-#                own Cargo.lock; it builds into the git-ignored
+#                other lane compiles it, yet it compiles against workspace
+#                names that a simplification would otherwise delete:
+#                - its in-process twins call `DriftMonitor::new`,
+#                  `estimator_mut().apply_insert`, `snapshot_json`,
+#                  `write_snapshot`, `SegmentedWal::open(dir, sync,
+#                  rotate_bytes)` and `GlobalModel::probabilities_batch`;
+#                - its set-up and run record read `StoreConfig`'s four
+#                  fields (`snapshot_every`, `sync_writes`, `retain_wal`,
+#                  `rotate_bytes`), `CoalesceConfig::window`,
+#                  `RegistryConfig`'s fields, `Segmentation::assignment`,
+#                  and pass `IngestService::new` its artifact path.
+#                perfbench changes only together with the benchmark
+#                contract, so a change to any of these waits for such a
+#                change instead of failing here. `--locked` holds it to
+#                perfbench's own Cargo.lock; it builds into the git-ignored
 #                perfbench/target;
 #   test         `cargo test --workspace`: every suite, including the
 #                fault-injection, server smoke, ingestion, crash-matrix and

@@ -376,7 +376,7 @@ fn run_ingest(args: &Args) {
             snapshot_every: 1024,
             sync_writes: true,
             retain_wal: false,
-            rotate_bytes: 0,
+            ..StoreConfig::default()
         },
     )
     .unwrap();
@@ -460,7 +460,7 @@ fn run_ingest(args: &Args) {
                 snapshot_every: 0,
                 sync_writes: false,
                 retain_wal: true,
-                rotate_bytes: 0,
+                ..StoreConfig::default()
             },
         )
         .unwrap();
@@ -476,7 +476,7 @@ fn run_ingest(args: &Args) {
                 snapshot_every: 0,
                 sync_writes: false,
                 retain_wal: true,
-                rotate_bytes: 0,
+                ..StoreConfig::default()
             },
         )
         .unwrap();
@@ -543,7 +543,7 @@ impl ReplFixture {
                 snapshot_every: 0,
                 sync_writes: false,
                 retain_wal: true,
-                rotate_bytes: 1 << 16,
+                ..StoreConfig::default()
             },
         )
         .unwrap();

@@ -54,7 +54,6 @@ impl Default for SegmentationConfig {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Segmentation {
     metric: Metric,
-    pca: Pca,
     /// Per-point segment id.
     assignment: Vec<usize>,
     /// Per-segment member indices.
@@ -95,17 +94,12 @@ impl Segmentation {
                 lsh.segment(&reduced, min_bucket).0
             }
         };
-        Self::from_assignment(data, metric, pca, assignment)
+        Self::from_assignment(data, metric, assignment)
     }
 
     /// Builds segment metadata from an explicit assignment (also used after
     /// re-labelling in the DBSCAN/LSH paths).
-    fn from_assignment(
-        data: &VectorData,
-        metric: Metric,
-        pca: Pca,
-        assignment: Vec<usize>,
-    ) -> Self {
+    fn from_assignment(data: &VectorData, metric: Metric, assignment: Vec<usize>) -> Self {
         let n_segments = assignment.iter().copied().max().map_or(1, |m| m + 1);
         let mut members: Vec<Vec<usize>> = vec![Vec::new(); n_segments];
         for (i, &s) in assignment.iter().enumerate() {
@@ -132,7 +126,6 @@ impl Segmentation {
             .collect();
         Segmentation {
             metric,
-            pca,
             assignment,
             members,
             centroids,
@@ -409,9 +402,8 @@ mod tests {
         };
         let seg = Segmentation::fit(&data, spec.metric, &config);
         // Random segmentation baseline with the same segment count.
-        let pca = Pca::fit(&data, 4, 4, 13);
         let random_assign: Vec<usize> = (0..data.len()).map(|i| i % 8).collect();
-        let rand_seg = Segmentation::from_assignment(&data, spec.metric, pca, random_assign);
+        let rand_seg = Segmentation::from_assignment(&data, spec.metric, random_assign);
         let c_fit = seg.cohesion(&data, 50, 1);
         let c_rand = rand_seg.cohesion(&data, 50, 1);
         assert!(

@@ -62,23 +62,14 @@ impl UpdateConfig {
 /// fan-out is the sweep's only threading.
 pub(crate) const PROBE_CHUNK: usize = 64;
 
-/// The serialized form of [`UpdatableGl`] — everything a recovery needs,
-/// minus the rebuildable feature caches.
-#[derive(Serialize, Deserialize)]
-struct SnapshotState {
-    data: VectorData,
-    metric: Metric,
-    gl: GlEstimator,
-    queries: VectorData,
-    train: Vec<SearchSample>,
-    test: Vec<SearchSample>,
-    labels: SegmentLabels,
-    deleted: Vec<bool>,
-    cfg: UpdateConfig,
-}
+/// Per-query features `(xq, xc)`: the dense query and its centroid
+/// distances ([`build_feature_caches`]).
+type FeatureCaches = (Vec<Vec<f32>>, Vec<Vec<f32>>);
 
 /// A GL estimator that supports incremental inserts with label patching
-/// and partial fine-tuning.
+/// and partial fine-tuning. It serializes as the snapshot payload: every
+/// field but the two caches, which a decoded value rebuilds on first use.
+#[derive(Serialize, Deserialize)]
 pub struct UpdatableGl {
     data: VectorData,
     metric: Metric,
@@ -88,15 +79,18 @@ pub struct UpdatableGl {
     test: Vec<SearchSample>,
     /// Per-training-sample per-segment cardinalities, patched on updates.
     labels: SegmentLabels,
-    /// Cached query features (queries do not change on data updates).
-    xq_cache: Vec<Vec<f32>>,
-    xc_cache: Vec<Vec<f32>>,
+    /// Query features for fine-tuning, built on first use. They depend
+    /// only on the fixed queries and the centroids, which never move after
+    /// `fit`, so building them late gives the same values.
+    #[serde(skip)]
+    feature_caches: OnceLock<FeatureCaches>,
     /// Tombstone flags for deleted rows (storage keeps the row).
     deleted: Vec<bool>,
     cfg: UpdateConfig,
     /// The weight-dependent half of the probe sweep, one entry per
     /// [`PROBE_CHUNK`] of test samples: filled by the first sweep, dropped
     /// by [`UpdatableGl::finetune`], the only call that changes weights.
+    #[serde(skip)]
     probe_outputs: OnceLock<Vec<LocalOutputs>>,
 }
 
@@ -115,7 +109,6 @@ impl UpdatableGl {
         cfg: UpdateConfig,
     ) -> Self {
         let labels = SegmentLabels::compute(table, &train, gl.segmentation());
-        let (xq_cache, xc_cache) = build_feature_caches(&queries, gl.segmentation());
         let deleted = vec![false; data.len()];
         UpdatableGl {
             data,
@@ -125,8 +118,7 @@ impl UpdatableGl {
             train,
             test,
             labels,
-            xq_cache,
-            xc_cache,
+            feature_caches: OnceLock::new(),
             deleted,
             cfg,
             probe_outputs: OnceLock::new(),
@@ -247,9 +239,10 @@ impl UpdatableGl {
     /// pass raw trigger lists.
     pub fn finetune(&mut self, affected: &[usize]) {
         self.probe_outputs = OnceLock::new();
-        let inputs = self
-            .gl
-            .sample_inputs(&self.train, &self.xq_cache, &self.xc_cache);
+        let (xq, xc) = self
+            .feature_caches
+            .get_or_init(|| build_feature_caches(&self.queries, self.gl.segmentation()));
+        let inputs = self.gl.sample_inputs(&self.train, xq, xc);
         let cfg = self.cfg;
         let local = cfg.schedule(cfg.local_epochs);
         self.gl
@@ -293,44 +286,15 @@ impl UpdatableGl {
     /// Serializes the full durable state — dataset, metric, model,
     /// queries, patched labels, segment shares, tombstones, and the
     /// fine-tune schedule — as the JSON payload a `cardest-store` snapshot
-    /// persists. The query-feature caches are *not* included: they are a
-    /// deterministic function of the (fixed) queries and the segmentation
-    /// centroids, so [`UpdatableGl::from_snapshot_json`] rebuilds them
-    /// bit-identically.
+    /// persists. The caches are *not* included.
     pub fn snapshot_json(&self) -> serde_json::Result<String> {
-        let state = SnapshotState {
-            data: self.data.clone(),
-            metric: self.metric,
-            gl: self.gl.clone(),
-            queries: self.queries.clone(),
-            train: self.train.clone(),
-            test: self.test.clone(),
-            labels: self.labels.clone(),
-            deleted: self.deleted.clone(),
-            cfg: self.cfg,
-        };
-        serde_json::to_string(&state)
+        serde_json::to_string(self)
     }
 
     /// Rebuilds an [`UpdatableGl`] from a snapshot payload written by
-    /// [`UpdatableGl::snapshot_json`], recomputing the feature caches.
+    /// [`UpdatableGl::snapshot_json`].
     pub fn from_snapshot_json(json: &str) -> serde_json::Result<Self> {
-        let state: SnapshotState = serde_json::from_str(json)?;
-        let (xq_cache, xc_cache) = build_feature_caches(&state.queries, state.gl.segmentation());
-        Ok(UpdatableGl {
-            data: state.data,
-            metric: state.metric,
-            gl: state.gl,
-            queries: state.queries,
-            train: state.train,
-            test: state.test,
-            labels: state.labels,
-            xq_cache,
-            xc_cache,
-            deleted: state.deleted,
-            cfg: state.cfg,
-            probe_outputs: OnceLock::new(),
-        })
+        serde_json::from_str(json)
     }
 
     /// FNV-1a 64 digest of the serialized state — the equality the crash
@@ -557,9 +521,8 @@ mod tests {
         assert!(grown > trained + 1.0, "radius {trained} → {grown}");
 
         let n = upd.gl.n_segments();
-        let inputs = upd
-            .gl
-            .sample_inputs(&upd.train, &upd.xq_cache, &upd.xc_cache);
+        let (xq, xc) = build_feature_caches(&upd.queries, upd.gl.segmentation());
+        let inputs = upd.gl.sample_inputs(&upd.train, &xq, &xc);
         for j in (0..upd.train.len()).step_by(7) {
             let s = upd.train[j];
             let served = upd.gl.batch_inputs(&[(upd.queries.view(s.query), s.tau)]);
@@ -658,6 +621,7 @@ mod tests {
     #[test]
     fn snapshot_round_trip_is_bit_identical() {
         let (mut upd, _) = setup(134);
+        let trained = build_feature_caches(&upd.queries, upd.gl.segmentation());
         let pts = upd.data.gather(&[3, 7, 11]);
         upd.insert(&pts, false);
         upd.delete(&[5], false);
@@ -665,9 +629,15 @@ mod tests {
         let fp = upd.state_fingerprint().unwrap();
         let restored = UpdatableGl::from_snapshot_json(&json).unwrap();
         assert_eq!(restored.state_fingerprint().unwrap(), fp);
-        // The rebuilt feature caches match the originals exactly.
-        assert_eq!(restored.xq_cache, upd.xq_cache);
-        assert_eq!(restored.xc_cache, upd.xc_cache);
+        // Caches built late, on either side, match ones built at training:
+        // updates move no centroid.
+        let built = |u: &UpdatableGl| {
+            u.feature_caches
+                .get_or_init(|| build_feature_caches(&u.queries, u.gl.segmentation()))
+                .clone()
+        };
+        assert_eq!(built(&upd), trained);
+        assert_eq!(built(&restored), trained);
         assert_eq!(restored.dataset_len(), upd.dataset_len());
         assert!(restored.is_deleted(5));
     }

@@ -129,11 +129,39 @@ impl DenseData {
 }
 
 /// Bit-packed binary vector collection (`n × dim` bits, 64 bits per word).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct BinaryData {
     dim: usize,
     words_per_vec: usize,
     words: Vec<u64>,
+}
+
+impl Deserialize for BinaryData {
+    fn deserialize(v: &Value) -> Result<Self, Error> {
+        let map = v.expect_map("BinaryData")?;
+        let dim: usize = serde::get_field(map, "dim", "BinaryData")?;
+        let words_per_vec: usize = serde::get_field(map, "words_per_vec", "BinaryData")?;
+        let words: Vec<u64> = serde::get_field(map, "words", "BinaryData")?;
+        if dim == 0 {
+            return Err(Error::msg("BinaryData dim must be positive"));
+        }
+        if words_per_vec != dim.div_ceil(64) {
+            return Err(Error::msg(format!(
+                "BinaryData words_per_vec {words_per_vec} does not match dim {dim}"
+            )));
+        }
+        if words.len() % words_per_vec != 0 {
+            return Err(Error::msg(format!(
+                "BinaryData holds {} words, not whole rows of {words_per_vec}",
+                words.len()
+            )));
+        }
+        Ok(BinaryData {
+            dim,
+            words_per_vec,
+            words,
+        })
+    }
 }
 
 impl BinaryData {
@@ -147,10 +175,7 @@ impl BinaryData {
     }
 
     pub fn len(&self) -> usize {
-        self.words
-            .len()
-            .checked_div(self.words_per_vec)
-            .unwrap_or(0)
+        self.words.len() / self.words_per_vec
     }
 
     pub fn is_empty(&self) -> bool {
@@ -533,6 +558,34 @@ mod tests {
             let err = serde_json::from_str::<DenseData>(doc).expect_err(doc);
             assert!(err.to_string().contains(msg), "{doc}: {err}");
         }
+    }
+
+    #[test]
+    fn binary_json_rejects_malformed_rows() {
+        for (doc, msg) in [
+            (
+                r#"{"dim":0,"words_per_vec":0,"words":[]}"#,
+                "dim must be positive",
+            ),
+            (
+                r#"{"dim":70,"words_per_vec":1,"words":[1,2,3]}"#,
+                "words_per_vec 1 does not match dim 70",
+            ),
+            (
+                r#"{"dim":70,"words_per_vec":2,"words":[1,2,3]}"#,
+                "3 words, not whole rows of 2",
+            ),
+            (
+                r#"{"dim":18446744073709551615,"words_per_vec":288230376151711744,"words":[1]}"#,
+                "1 words, not whole rows of 288230376151711744",
+            ),
+        ] {
+            let err = serde_json::from_str::<BinaryData>(doc).expect_err(doc);
+            assert!(err.to_string().contains(msg), "{doc}: {err}");
+        }
+        let ok: BinaryData =
+            serde_json::from_str(r#"{"dim":70,"words_per_vec":2,"words":[1,2]}"#).unwrap();
+        assert_eq!((ok.len(), ok.row(0)), (1, &[1u64, 2][..]));
     }
 
     #[test]

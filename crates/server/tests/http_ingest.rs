@@ -111,7 +111,7 @@ impl IngestFixture {
                 snapshot_every: 64,
                 sync_writes: false,
                 retain_wal: false,
-                rotate_bytes: 0,
+                ..StoreConfig::default()
             },
         )
         .unwrap();

@@ -145,7 +145,7 @@ impl Node {
                 snapshot_every: 0,
                 sync_writes: false,
                 retain_wal: true,
-                rotate_bytes: 4096,
+                ..StoreConfig::default()
             },
         )
         .unwrap();

@@ -20,8 +20,7 @@ use cardest_data::vector::{VectorData, VectorView};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-/// Active WAL segment file name inside a store directory (sealed
-/// segments sit next to it as `wal.<first_seq>.seg`).
+/// WAL file name inside a store directory: the whole log is this file.
 pub const WAL_FILE: &str = "wal.log";
 /// Snapshot file name inside a store directory.
 pub const SNAPSHOT_FILE: &str = "state.snapshot";
@@ -41,11 +40,12 @@ pub struct StoreConfig {
     /// Tests that manufacture crashes from buffers can turn it off.
     pub sync_writes: bool,
     /// Keep replayed records in the WAL across snapshots instead of
-    /// compacting. Recovery stays correct either way (covered records are
-    /// skipped); the bench uses this to measure replay cost vs WAL length.
+    /// truncating it. Recovery stays correct either way (covered records
+    /// are skipped); the bench uses this to measure replay cost vs WAL
+    /// length.
     pub retain_wal: bool,
-    /// Active-segment size that triggers sealing it into a
-    /// `wal.<first_seq>.seg` file; 0 keeps the WAL in one file.
+    /// Ignored: the WAL is one file, `wal.log`. The field remains only for
+    /// callers that record it with the rest of the config.
     pub rotate_bytes: u64,
 }
 
@@ -55,7 +55,7 @@ impl Default for StoreConfig {
             snapshot_every: 256,
             sync_writes: true,
             retain_wal: false,
-            rotate_bytes: 8 << 20,
+            rotate_bytes: 0,
         }
     }
 }
@@ -151,7 +151,8 @@ impl From<SnapshotError> for StoreError {
 pub enum ReplicationFetch {
     /// WAL records after the requested position, oldest first.
     Records(Vec<WalRecord>),
-    /// The position was compacted away: full state as of `seq`.
+    /// A snapshot truncated the position out of the WAL: full state as
+    /// of `seq`.
     Snapshot { seq: u64, state: Vec<u8> },
 }
 
@@ -209,7 +210,7 @@ impl DurableIngest {
             .snapshot_json()
             .map_err(|e| StoreError::Serde(e.to_string()))?;
         snapshot::write_snapshot(&dir.join(SNAPSHOT_FILE), 0, state.as_bytes())?;
-        let (mut wal, _, _) = SegmentedWal::open(dir, cfg.sync_writes, cfg.rotate_bytes)?;
+        let (mut wal, _, _) = SegmentedWal::open(dir, cfg.sync_writes, 0)?;
         wal.truncate_all()?;
         wal.set_next_seq(1);
         Ok(DurableIngest {
@@ -231,8 +232,7 @@ impl DurableIngest {
             .map_err(|_| StoreError::Serde("snapshot state is not utf-8".into()))?;
         let mut upd = UpdatableGl::from_snapshot_json(&state)
             .map_err(|e| StoreError::Serde(e.to_string()))?;
-        let (mut wal, records, wal_recovery) =
-            SegmentedWal::open(dir, cfg.sync_writes, cfg.rotate_bytes)?;
+        let (mut wal, records, wal_recovery) = SegmentedWal::open(dir, cfg.sync_writes, 0)?;
         let mut replayed = 0usize;
         let mut skipped = 0usize;
         for r in &records {
@@ -307,9 +307,8 @@ impl DurableIngest {
     }
 
     /// Writes a snapshot covering everything applied so far, then (unless
-    /// retaining) drops the WAL records the snapshot made redundant —
-    /// sealed segments deleted, active file truncated. Also the call that
-    /// makes a background fine-tune durable.
+    /// retaining) truncates the WAL records the snapshot made redundant.
+    /// Also the call that makes a background fine-tune durable.
     pub fn snapshot_now(&mut self) -> Result<(), StoreError> {
         let state = self
             .upd
@@ -389,27 +388,15 @@ impl DurableIngest {
         self.wal.next_seq() - 1
     }
 
-    /// Current WAL size in bytes (sealed segments + active file).
+    /// Current WAL size in bytes.
     pub fn wal_len_bytes(&self) -> u64 {
         self.wal.len_bytes()
     }
 
-    /// Sealed WAL segments currently on disk.
-    pub fn wal_segments(&self) -> usize {
-        self.wal.sealed_segments().len()
-    }
-
-    /// Seals the active WAL segment regardless of size (tests and
-    /// operational tooling; normal rotation is size-triggered).
-    pub fn rotate_wal_now(&mut self) -> Result<(), StoreError> {
-        self.wal.rotate_now().map_err(StoreError::Wal)
-    }
-
-    /// What a catching-up standby at `after_seq` should receive next:
-    /// WAL records still on disk, or — once compaction has dropped the
-    /// requested position — the full current state to bootstrap from
-    /// ("latest snapshot + segments since" collapses to "state now + the
-    /// live stream from here").
+    /// What a catching-up standby at `after_seq` should receive next: the
+    /// records still in `wal.log`, or, once a snapshot has truncated the
+    /// requested position out of it, the full current state to bootstrap
+    /// from (then the live stream from there).
     pub fn replication_fetch(
         &self,
         after_seq: u64,

@@ -18,9 +18,9 @@
 //!   `cardest_nn::artifact` container (magic/version/kind/checksum,
 //!   atomic temp-file rename), prefixed with the WAL sequence number they
 //!   cover,
-//! * [`segment`] — [`SegmentedWal`]: the WAL spread over sealed
-//!   `wal.<first_seq>.seg` files plus one active `wal.log`, with
-//!   size-triggered rotation and snapshot-anchored compaction,
+//! * [`segment`] — [`SegmentedWal`]: a store directory's WAL, one
+//!   append-only `wal.log` that snapshots truncate, read back for
+//!   replication catch-up,
 //! * [`ingest`] — [`DurableIngest`]: validate → WAL append → pure apply →
 //!   ack, with recovery = snapshot-load + WAL-replay through the same
 //!   deterministic [`cardest_core::UpdatableGl::apply_insert`] path, so
@@ -53,6 +53,6 @@ pub use replicate::{
     ReplicaClientConfig, ReplicaSource, ReplicaStatus, ReplicationListener, SharedStore,
     StandbyTarget,
 };
-pub use segment::{SegmentMeta, SegmentedWal};
+pub use segment::SegmentedWal;
 pub use snapshot::{read_snapshot, write_snapshot, SnapshotError, SNAPSHOT_KIND};
 pub use wal::{scan, TailDefect, Wal, WalError, WalRecord, WalRecovery};

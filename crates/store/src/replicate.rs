@@ -23,8 +23,8 @@
 //!
 //! The protocol is a cursor chase: the standby opens with HELLO carrying
 //! the last seq it durably applied, and the primary streams RECORD
-//! frames from there (or one SNAPSHOT when compaction has dropped the
-//! cursor), interleaving HEARTBEATs when idle. Corruption anywhere —
+//! frames from there (or one SNAPSHOT when a snapshot has truncated the
+//! cursor out of the WAL), interleaving HEARTBEATs when idle. Corruption anywhere —
 //! torn frame, flipped bit, garbage type — fails the checksum or parse,
 //! and the *connection* is the recovery unit: either side drops it, the
 //! standby reconnects with jittered exponential backoff
@@ -67,7 +67,7 @@ const TYPE_ACK: u8 = 5;
 pub enum Frame {
     /// Standby's opener: the last seq it durably applied.
     Hello { last_applied: u64 },
-    /// Full state as of `seq` — bootstrap after compaction.
+    /// Full state as of `seq` — bootstrap after a WAL truncation.
     Snapshot { seq: u64, state: Vec<u8> },
     /// One WAL record.
     Record(WalRecord),
@@ -221,7 +221,7 @@ pub fn decode_frame(buf: &[u8]) -> Result<Option<(Frame, usize)>, FrameError> {
 pub trait ReplicaSource: Send + Sync {
     /// Seq of the last durable record.
     fn head_seq(&self) -> u64;
-    /// Records after `after_seq` (bounded), or a snapshot once compacted.
+    /// Records after `after_seq` (bounded), or a snapshot once truncated.
     fn fetch_since(&self, after_seq: u64, max: usize) -> Result<ReplicationFetch, StoreError>;
     /// Blocks until the head moves past `after_seq` or `timeout` elapses;
     /// returns the current head either way.
@@ -355,7 +355,7 @@ pub struct PrimaryReplStats {
     pub last_acked: AtomicU64,
     /// RECORD frames sent.
     pub records_sent: AtomicU64,
-    /// SNAPSHOT frames sent (bootstrap / post-compaction resync).
+    /// SNAPSHOT frames sent (bootstrap / post-truncation resync).
     pub snapshots_sent: AtomicU64,
 }
 
@@ -561,7 +561,7 @@ fn serve_session(
                     cursor = seq;
                     stats.snapshots_sent.fetch_add(1, Ordering::Relaxed);
                 }
-                // Empty batch (records raced a compaction) or store error:
+                // Empty batch (records raced a truncation) or store error:
                 // re-evaluate on the next turn of the loop.
                 Ok(ReplicationFetch::Records(_)) => {}
                 Err(_) => return Ok(()),

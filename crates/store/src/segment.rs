@@ -1,351 +1,93 @@
-//! WAL segment rotation with snapshot-anchored compaction.
+//! The store's write-ahead log: one append-only `wal.log` per store
+//! directory.
 //!
-//! A [`SegmentedWal`] presents the same append/truncate surface as a
-//! single [`Wal`](crate::wal::Wal) but spreads the record stream over
-//! files: the **active** segment is always `wal.log` (so single-file
-//! stores from before rotation open unchanged, and the crash matrix can
-//! keep tearing one file), and when it outgrows `rotate_bytes` it is
-//! **sealed** by an atomic rename to `wal.<first_seq>.seg` and a fresh
-//! active file is started. Sequence numbers chain across segments: the
-//! first record of each file continues the last record of the previous
-//! one, and recovery enforces the chain — a defect in any segment drops
-//! that segment's tail *and every later segment*, keeping the invariant
-//! that the surviving stream is one gap-free prefix.
+//! A [`SegmentedWal`] is a [`Wal`](crate::wal::Wal) opened on
+//! `<dir>/wal.log`, plus [`SegmentedWal::read_since`] for replication
+//! catch-up. `Wal` alone encodes and scans records and truncates torn
+//! tails. A snapshot empties the log unless the store retains it, so the
+//! file holds the records since the last snapshot; a standby whose
+//! position is older than the file's first record bootstraps from a
+//! snapshot instead.
 //!
-//! Compaction is snapshot-anchored: a sealed segment whose last record is
-//! covered by a snapshot (`last_seq <= covered_seq`) is deleted; the
-//! active segment is never compacted. Replication bootstrap leans on the
-//! same anchor — [`SegmentedWal::read_since`] answers records still on
-//! disk, and `None` once the requested position has been compacted away,
-//! which tells the caller to ship "latest snapshot + segments since"
-//! instead of an unbounded log.
+//! The log is never split into segment files, and `wal.*.seg` files in a
+//! store directory are not read. The type's name and the `rotate_bytes`
+//! argument of [`SegmentedWal::open`] remain for callers that name them.
 
-use crate::wal::{scan, Wal, WalError, WalRecord, WalRecovery};
-use std::path::{Path, PathBuf};
+use crate::ingest::WAL_FILE;
+use crate::wal::{io_err, scan, Wal, WalError, WalRecord, WalRecovery};
+use std::path::Path;
 
-/// Active segment file name (same as the pre-rotation single-file WAL).
-pub const ACTIVE_FILE: &str = "wal.log";
-/// Prefix and suffix sealed segments carry: `wal.<first_seq:020>.seg`.
-pub const SEALED_PREFIX: &str = "wal.";
-pub const SEALED_SUFFIX: &str = ".seg";
-
-fn io_err(e: std::io::Error) -> WalError {
-    WalError::Io(e.to_string())
-}
-
-/// One sealed, immutable segment on disk.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SegmentMeta {
-    /// Sequence number of the segment's first record.
-    pub first_seq: u64,
-    /// Sequence number of the segment's last record.
-    pub last_seq: u64,
-    /// File path (`wal.<first_seq>.seg` in the store directory).
-    pub path: PathBuf,
-    /// File size in bytes.
-    pub bytes: u64,
-}
-
-fn sealed_name(first_seq: u64) -> String {
-    // Zero-padded so lexical directory order equals sequence order.
-    format!("{SEALED_PREFIX}{first_seq:020}{SEALED_SUFFIX}")
-}
-
-fn parse_sealed_name(name: &str) -> Option<u64> {
-    name.strip_prefix(SEALED_PREFIX)?
-        .strip_suffix(SEALED_SUFFIX)?
-        .parse()
-        .ok()
-}
-
-/// A record stream split across sealed segments plus one active file.
+/// A store directory's write-ahead log, `wal.log`.
 pub struct SegmentedWal {
-    dir: PathBuf,
-    sealed: Vec<SegmentMeta>,
-    active: Wal,
-    /// Seq of the active segment's first record; equals `next_seq` while
-    /// the active segment is empty.
-    active_first_seq: u64,
-    sync: bool,
-    /// Active-segment size that triggers sealing; 0 disables rotation.
-    rotate_bytes: u64,
+    wal: Wal,
 }
 
 impl SegmentedWal {
-    /// Opens the segmented log in `dir`: scans sealed segments in
-    /// sequence order, then the active file, enforcing the cross-segment
-    /// sequence chain. The first defect truncates its segment to the
-    /// valid prefix and deletes every later segment file (they would
-    /// continue a stream that no longer exists). Returns all surviving
-    /// records for replay plus an aggregate recovery report.
+    /// Opens (or creates) `dir/wal.log` through [`Wal::open`], which
+    /// truncates a torn tail, and returns the surviving records for
+    /// replay. `rotate_bytes` is ignored: the log is one file.
     pub fn open(
         dir: &Path,
         sync: bool,
-        rotate_bytes: u64,
+        _rotate_bytes: u64,
     ) -> Result<(Self, Vec<WalRecord>, WalRecovery), WalError> {
         std::fs::create_dir_all(dir).map_err(io_err)?;
-        let mut sealed_paths: Vec<(u64, PathBuf)> = Vec::new();
-        for entry in std::fs::read_dir(dir).map_err(io_err)?.flatten() {
-            let name = entry.file_name();
-            if let Some(first_seq) = parse_sealed_name(&name.to_string_lossy()) {
-                sealed_paths.push((first_seq, entry.path()));
-            }
-        }
-        sealed_paths.sort();
-
-        let mut sealed = Vec::new();
-        let mut records = Vec::new();
-        let mut bytes_kept = 0u64;
-        let mut bytes_dropped = 0u64;
-        let mut defect = None;
-        let mut broken = false;
-        for (first_seq, path) in &sealed_paths {
-            if broken {
-                // A stream break upstream orphans this segment entirely.
-                bytes_dropped += std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
-                std::fs::remove_file(path).map_err(io_err)?;
-                continue;
-            }
-            let bytes = std::fs::read(path).map_err(io_err)?;
-            let mut scanned = scan(&bytes);
-            // The chain check: this segment must continue the stream.
-            let expected = records.last().map(|r: &WalRecord| r.seq + 1);
-            let chains = scanned
-                .records
-                .first()
-                .is_some_and(|r| r.seq == *first_seq && expected.is_none_or(|e| r.seq == e));
-            if !chains {
-                // Misnamed, empty, or gapped segment: drop it whole.
-                scanned.consumed = 0;
-                scanned.records.clear();
-            }
-            if scanned.consumed < bytes.len() || !chains {
-                broken = true;
-                if defect.is_none() {
-                    defect = scanned.defect.take();
-                }
-                bytes_dropped += (bytes.len() - scanned.consumed) as u64;
-                if scanned.consumed == 0 {
-                    std::fs::remove_file(path).map_err(io_err)?;
-                } else {
-                    let f = std::fs::OpenOptions::new()
-                        .write(true)
-                        .open(path)
-                        .map_err(io_err)?;
-                    f.set_len(scanned.consumed as u64).map_err(io_err)?;
-                    f.sync_data().map_err(io_err)?;
-                }
-            }
-            if scanned.consumed > 0 {
-                bytes_kept += scanned.consumed as u64;
-                sealed.push(SegmentMeta {
-                    first_seq: *first_seq,
-                    last_seq: scanned.records.last().map_or(*first_seq, |r| r.seq),
-                    path: path.clone(),
-                    bytes: scanned.consumed as u64,
-                });
-                records.append(&mut scanned.records);
-            }
-        }
-
-        let active_path = dir.join(ACTIVE_FILE);
-        if broken {
-            // The active file continues a stream that ended mid-sealed
-            // segment — its records are unreachable. Drop them.
-            bytes_dropped += std::fs::metadata(&active_path)
-                .map(|m| m.len())
-                .unwrap_or(0);
-            if active_path.exists() {
-                std::fs::remove_file(&active_path).map_err(io_err)?;
-            }
-        }
-        let (mut active, mut active_records, active_rec) = Wal::open(&active_path, sync)?;
-        if !broken {
-            let expected = records.last().map(|r| r.seq + 1);
-            let chains = match (active_records.first(), expected) {
-                (Some(first), Some(e)) => first.seq == e,
-                _ => true,
-            };
-            if !chains {
-                active.truncate_all()?;
-                bytes_dropped += active_rec.bytes_kept;
-                active_records.clear();
-            } else {
-                bytes_kept += active_rec.bytes_kept;
-                bytes_dropped += active_rec.bytes_dropped;
-                if defect.is_none() {
-                    defect = active_rec.defect;
-                }
-            }
-        }
-        let next_seq = active_records
-            .last()
-            .or(records.last())
-            .map_or(1, |r| r.seq + 1);
-        active.set_next_seq(next_seq);
-        let active_first_seq = active_records.first().map_or(next_seq, |r| r.seq);
-        records.append(&mut active_records);
-        let recovery = WalRecovery {
-            records: records.len(),
-            bytes_kept,
-            bytes_dropped,
-            defect,
-        };
-        Ok((
-            SegmentedWal {
-                dir: dir.to_path_buf(),
-                sealed,
-                active,
-                active_first_seq,
-                sync,
-                rotate_bytes,
-            },
-            records,
-            recovery,
-        ))
+        let (wal, records, recovery) = Wal::open(&dir.join(WAL_FILE), sync)?;
+        Ok((SegmentedWal { wal }, records, recovery))
     }
 
-    /// Appends one record, sealing the active segment first if it has
-    /// outgrown `rotate_bytes`. Returns the assigned sequence number.
+    /// Appends one record. Returns the assigned sequence number.
     pub fn append(&mut self, kind: u8, payload: &[u8]) -> Result<u64, WalError> {
-        if self.rotate_bytes > 0
-            && self.active.len_bytes() >= self.rotate_bytes
-            && self.active_first_seq < self.active.next_seq()
-        {
-            self.rotate_now()?;
-        }
-        self.active.append(kind, payload)
+        self.wal.append(kind, payload)
     }
 
-    /// Seals the active segment (atomic rename to `wal.<first_seq>.seg`)
-    /// and starts a fresh one. A no-op when the active segment is empty.
-    pub fn rotate_now(&mut self) -> Result<(), WalError> {
-        if self.active_first_seq >= self.active.next_seq() {
-            return Ok(());
-        }
-        let next_seq = self.active.next_seq();
-        let sealed_path = self.dir.join(sealed_name(self.active_first_seq));
-        let bytes = self.active.len_bytes();
-        std::fs::rename(self.dir.join(ACTIVE_FILE), &sealed_path).map_err(io_err)?;
-        self.sealed.push(SegmentMeta {
-            first_seq: self.active_first_seq,
-            last_seq: next_seq - 1,
-            path: sealed_path,
-            bytes,
-        });
-        let (mut active, _, _) = Wal::open(&self.dir.join(ACTIVE_FILE), self.sync)?;
-        active.set_next_seq(next_seq);
-        self.active = active;
-        self.active_first_seq = next_seq;
-        Ok(())
-    }
-
-    /// Deletes sealed segments fully covered by a snapshot at
-    /// `covered_seq` (`last_seq <= covered_seq`). The active segment is
-    /// never touched. Returns how many segments were deleted.
-    pub fn compact(&mut self, covered_seq: u64) -> Result<usize, WalError> {
-        let mut deleted = 0;
-        let mut keep = Vec::with_capacity(self.sealed.len());
-        for seg in self.sealed.drain(..) {
-            if seg.last_seq <= covered_seq {
-                std::fs::remove_file(&seg.path).map_err(io_err)?;
-                deleted += 1;
-            } else {
-                keep.push(seg);
-            }
-        }
-        self.sealed = keep;
-        Ok(deleted)
-    }
-
-    /// Drops every record — sealed segments deleted, active truncated —
-    /// but keeps the sequence counter running.
+    /// Drops every record but keeps the sequence counter running.
     pub fn truncate_all(&mut self) -> Result<(), WalError> {
-        for seg in self.sealed.drain(..) {
-            std::fs::remove_file(&seg.path).map_err(io_err)?;
-        }
-        self.active.truncate_all()?;
-        self.active_first_seq = self.active.next_seq();
-        Ok(())
+        self.wal.truncate_all()
     }
 
     /// Records with `seq > after_seq`, oldest first, at most `max`, read
-    /// back from disk. `None` means the position has been compacted away
-    /// and the caller must bootstrap from a snapshot instead.
+    /// back from disk. `None` means a snapshot truncated the position out
+    /// of the log and the caller must bootstrap from a snapshot instead.
     pub fn read_since(
         &self,
         after_seq: u64,
         max: usize,
     ) -> Result<Option<Vec<WalRecord>>, WalError> {
-        if after_seq + 1 < self.first_retained_seq() {
+        let records = scan(&std::fs::read(self.wal.path()).map_err(io_err)?).records;
+        let first = records.first().map_or(self.next_seq(), |r| r.seq);
+        if after_seq + 1 < first {
             return Ok(None);
         }
-        let mut out = Vec::new();
-        for seg in &self.sealed {
-            if seg.last_seq <= after_seq {
-                continue;
-            }
-            if out.len() >= max {
-                break;
-            }
-            let bytes = std::fs::read(&seg.path).map_err(io_err)?;
-            for r in scan(&bytes).records {
-                if r.seq > after_seq && out.len() < max {
-                    out.push(r);
-                }
-            }
-        }
-        if out.len() < max && self.active.len_bytes() > 0 {
-            let bytes = std::fs::read(self.dir.join(ACTIVE_FILE)).map_err(io_err)?;
-            for r in scan(&bytes).records {
-                if r.seq > after_seq && out.len() < max {
-                    out.push(r);
-                }
-            }
-        }
-        Ok(Some(out))
-    }
-
-    /// The smallest sequence number still on disk (equals `next_seq` when
-    /// the log is empty — every older record is snapshot-covered).
-    pub fn first_retained_seq(&self) -> u64 {
-        self.sealed
-            .first()
-            .map_or(self.active_first_seq, |s| s.first_seq)
+        Ok(Some(
+            records
+                .into_iter()
+                .filter(|r| r.seq > after_seq)
+                .take(max)
+                .collect(),
+        ))
     }
 
     /// Overrides the next sequence number (recovery with an empty log).
     pub fn set_next_seq(&mut self, seq: u64) {
-        self.active.set_next_seq(seq);
-        if self.active.len_bytes() == 0 {
-            self.active_first_seq = seq;
-        }
+        self.wal.set_next_seq(seq);
     }
 
     /// The sequence number the next append will carry.
     pub fn next_seq(&self) -> u64 {
-        self.active.next_seq()
+        self.wal.next_seq()
     }
 
-    /// Total bytes across sealed segments and the active file.
+    /// Bytes in the log.
     pub fn len_bytes(&self) -> u64 {
-        self.sealed.iter().map(|s| s.bytes).sum::<u64>() + self.active.len_bytes()
-    }
-
-    /// Bytes in the active (unsealed) segment.
-    pub fn active_len_bytes(&self) -> u64 {
-        self.active.len_bytes()
-    }
-
-    /// Sealed segments, oldest first.
-    pub fn sealed_segments(&self) -> &[SegmentMeta] {
-        &self.sealed
+        self.wal.len_bytes()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("cardest-seg-{tag}-{}", std::process::id()));
@@ -361,54 +103,9 @@ mod tests {
     }
 
     #[test]
-    fn rotation_seals_and_recovery_chains_across_segments() {
-        let dir = tmp_dir("rotate");
-        let (mut w, _, _) = SegmentedWal::open(&dir, false, 128).unwrap();
-        fill(&mut w, 40);
-        assert!(
-            w.sealed_segments().len() >= 2,
-            "40 × ~35-byte records over a 128-byte threshold must seal segments"
-        );
-        let sealed_before = w.sealed_segments().to_vec();
-        drop(w);
-        let (w, records, rec) = SegmentedWal::open(&dir, false, 128).unwrap();
-        assert_eq!(rec.defect, None);
-        assert_eq!(records.len(), 40);
-        let seqs: Vec<u64> = records.iter().map(|r| r.seq).collect();
-        assert_eq!(seqs, (1..=40).collect::<Vec<_>>());
-        assert_eq!(w.sealed_segments(), sealed_before.as_slice());
-        assert_eq!(w.next_seq(), 41);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn compaction_deletes_only_covered_segments() {
-        let dir = tmp_dir("compact");
-        let (mut w, _, _) = SegmentedWal::open(&dir, false, 128).unwrap();
-        fill(&mut w, 40);
-        let n_sealed = w.sealed_segments().len();
-        assert!(n_sealed >= 2);
-        let cut = w.sealed_segments()[0].last_seq;
-        assert_eq!(w.compact(cut).unwrap(), 1);
-        assert_eq!(w.sealed_segments().len(), n_sealed - 1);
-        assert_eq!(w.first_retained_seq(), cut + 1);
-        // Compacted position: the caller must fall back to a snapshot.
-        assert_eq!(w.read_since(0, 100).unwrap(), None);
-        // Retained positions still answer records.
-        let tail = w.read_since(cut, 100).unwrap().unwrap();
-        assert_eq!(tail.first().unwrap().seq, cut + 1);
-        assert_eq!(tail.last().unwrap().seq, 40);
-        drop(w);
-        let (_, records, rec) = SegmentedWal::open(&dir, false, 128).unwrap();
-        assert_eq!(rec.defect, None);
-        assert_eq!(records.first().unwrap().seq, cut + 1);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn read_since_pages_and_spans_the_active_segment() {
         let dir = tmp_dir("since");
-        let (mut w, _, _) = SegmentedWal::open(&dir, false, 128).unwrap();
+        let (mut w, _, _) = SegmentedWal::open(&dir, false, 0).unwrap();
         fill(&mut w, 40);
         let page = w.read_since(10, 7).unwrap().unwrap();
         assert_eq!(
@@ -418,47 +115,28 @@ mod tests {
         let rest = w.read_since(38, 100).unwrap().unwrap();
         assert_eq!(rest.iter().map(|r| r.seq).collect::<Vec<_>>(), vec![39, 40]);
         assert_eq!(w.read_since(40, 100).unwrap().unwrap(), Vec::new());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn torn_sealed_segment_drops_every_later_segment() {
-        let dir = tmp_dir("torn-seal");
-        let (mut w, _, _) = SegmentedWal::open(&dir, false, 128).unwrap();
-        fill(&mut w, 40);
-        assert!(w.sealed_segments().len() >= 3);
-        let victim = w.sealed_segments()[1].clone();
-        let survivors = w.sealed_segments()[0].last_seq;
-        drop(w);
-        // Corrupt a middle sealed segment: flip one byte of its first record.
-        let mut bytes = std::fs::read(&victim.path).unwrap();
-        bytes[crate::wal::HEADER_LEN / 2] ^= 0x40;
-        std::fs::write(&victim.path, &bytes).unwrap();
-        let (w, records, rec) = SegmentedWal::open(&dir, false, 128).unwrap();
-        assert!(rec.defect.is_some());
-        assert_eq!(records.last().unwrap().seq, survivors);
-        assert_eq!(w.sealed_segments().len(), 1);
-        // Later segment files are gone from disk, not just from memory.
-        assert!(!victim.path.exists());
-        // Appends continue the surviving stream.
-        drop(w);
-        let (mut w, _, _) = SegmentedWal::open(&dir, false, 128).unwrap();
-        assert_eq!(w.append(1, b"resume").unwrap(), survivors + 1);
+        // After a snapshot's truncation, older positions must bootstrap
+        // from a snapshot; the head still answers records.
+        w.truncate_all().unwrap();
+        w.append(1, b"after").unwrap();
+        assert_eq!(w.read_since(0, 100).unwrap(), None);
+        assert_eq!(w.read_since(39, 100).unwrap(), None);
+        let tail = w.read_since(40, 100).unwrap().unwrap();
+        assert_eq!(tail.iter().map(|r| r.seq).collect::<Vec<_>>(), vec![41]);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn truncate_all_drops_segments_but_keeps_the_counter() {
         let dir = tmp_dir("truncall");
-        let (mut w, _, _) = SegmentedWal::open(&dir, false, 128).unwrap();
+        let (mut w, _, _) = SegmentedWal::open(&dir, false, 0).unwrap();
         fill(&mut w, 40);
         w.truncate_all().unwrap();
         assert_eq!(w.len_bytes(), 0);
-        assert_eq!(w.sealed_segments().len(), 0);
-        assert_eq!(w.first_retained_seq(), 41);
+        assert_eq!(w.read_since(40, 100).unwrap().unwrap(), Vec::new());
         assert_eq!(w.append(1, b"after").unwrap(), 41);
         drop(w);
-        let (_, records, rec) = SegmentedWal::open(&dir, false, 128).unwrap();
+        let (_, records, rec) = SegmentedWal::open(&dir, false, 0).unwrap();
         assert_eq!(rec.defect, None);
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].seq, 41);
@@ -468,8 +146,8 @@ mod tests {
     #[test]
     fn single_file_store_from_before_rotation_opens_unchanged() {
         let dir = tmp_dir("legacy");
-        // A pre-rotation store is just wal.log — write one via plain Wal.
-        let (mut wal, _, _) = Wal::open(&dir.join(ACTIVE_FILE), false).unwrap();
+        // A log written through plain `Wal` is the store's log.
+        let (mut wal, _, _) = Wal::open(&dir.join(WAL_FILE), false).unwrap();
         for i in 0..5 {
             wal.append(2, format!("legacy-{i}").as_bytes()).unwrap();
         }
@@ -477,17 +155,25 @@ mod tests {
         let (w, records, rec) = SegmentedWal::open(&dir, false, 0).unwrap();
         assert_eq!(rec.defect, None);
         assert_eq!(records.len(), 5);
-        assert_eq!(w.sealed_segments().len(), 0);
         assert_eq!(w.next_seq(), 6);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn rotation_disabled_never_seals() {
+        // `rotate_bytes` is ignored: 40 records over a 128-byte threshold
+        // stay in `wal.log`, the only file in the directory.
         let dir = tmp_dir("noseal");
-        let (mut w, _, _) = SegmentedWal::open(&dir, false, 0).unwrap();
+        let (mut w, _, _) = SegmentedWal::open(&dir, false, 128).unwrap();
         fill(&mut w, 40);
-        assert_eq!(w.sealed_segments().len(), 0);
+        drop(w);
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, [WAL_FILE]);
+        let (_, records, _) = SegmentedWal::open(&dir, false, 128).unwrap();
+        assert_eq!(records.len(), 40);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

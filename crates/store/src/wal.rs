@@ -116,7 +116,7 @@ impl fmt::Display for WalError {
 
 impl std::error::Error for WalError {}
 
-fn io_err(e: std::io::Error) -> WalError {
+pub(crate) fn io_err(e: std::io::Error) -> WalError {
     WalError::Io(e.to_string())
 }
 

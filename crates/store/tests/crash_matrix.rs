@@ -79,7 +79,7 @@ fn matrix_cfg() -> StoreConfig {
         snapshot_every: 0,
         sync_writes: false,
         retain_wal: true,
-        rotate_bytes: 0,
+        ..StoreConfig::default()
     }
 }
 
@@ -275,127 +275,6 @@ fn bit_flip_mid_stream_recovers_the_prefix_before_the_flip() {
 }
 
 #[test]
-fn segmented_wal_crash_matrix_recovers_across_segments() {
-    // The same kill-and-recover methodology, with the WAL rotated into
-    // several sealed segments: kills inside the active segment, kills
-    // exactly at a rotation boundary (no active file yet), and a flip
-    // inside a middle sealed segment — which must drop that segment's
-    // tail AND every later segment, keeping one gap-free prefix.
-    let upd = setup(PaperDataset::GloVe300, 59);
-    let src = upd.data().gather(&(0..300).collect::<Vec<_>>());
-    let live_dir = tmp_dir("seg-live");
-    let cfg = StoreConfig {
-        snapshot_every: 0,
-        sync_writes: false,
-        retain_wal: true,
-        rotate_bytes: 256,
-    };
-    let mut store = DurableIngest::create(&live_dir, upd, cfg).unwrap();
-    let ops = op_stream();
-    let fps = run_stream(&mut store, &src, &ops);
-    assert!(
-        store.wal_segments() >= 2,
-        "stream must span several sealed segments, got {}",
-        store.wal_segments()
-    );
-    drop(store);
-
-    let snapshot = std::fs::read(live_dir.join(SNAPSHOT_FILE)).unwrap();
-    let mut sealed: Vec<(String, Vec<u8>)> = std::fs::read_dir(&live_dir)
-        .unwrap()
-        .flatten()
-        .filter_map(|e| {
-            let name = e.file_name().to_string_lossy().into_owned();
-            (name.starts_with("wal.") && name.ends_with(".seg"))
-                .then(|| (name, std::fs::read(e.path()).unwrap()))
-        })
-        .collect();
-    sealed.sort(); // zero-padded names: lexical order == sequence order
-    let active = std::fs::read(live_dir.join(WAL_FILE)).unwrap();
-    let per_segment: Vec<usize> = sealed.iter().map(|(_, b)| scan(b).records.len()).collect();
-    let sealed_total: usize = per_segment.iter().sum();
-    let ends_active = record_ends(&active);
-    assert_eq!(sealed_total + ends_active.len(), ops.len());
-
-    let rec_dir = tmp_dir("seg-rec");
-    // Lays down snapshot + all sealed segments + `keep` bytes of the
-    // active file (None = crashed exactly at a rotation boundary).
-    let restore = |keep_active: Option<usize>| {
-        for e in std::fs::read_dir(&rec_dir).unwrap().flatten() {
-            if e.file_name().to_string_lossy().starts_with("wal.") {
-                std::fs::remove_file(e.path()).unwrap();
-            }
-        }
-        std::fs::write(rec_dir.join(SNAPSHOT_FILE), &snapshot).unwrap();
-        for (name, bytes) in &sealed {
-            std::fs::write(rec_dir.join(name), bytes).unwrap();
-        }
-        if let Some(keep) = keep_active {
-            install_torn_wal(&rec_dir.join(WAL_FILE), &active, keep).unwrap();
-        }
-    };
-
-    // Kill inside the active segment: sealed records all survive, the
-    // active tail truncates exactly as in the single-file matrix.
-    for &off in &kill_offsets(&ends_active, 0x5E61, 4) {
-        restore(Some(off));
-        let (recovered, report) = DurableIngest::open(&rec_dir, cfg).unwrap();
-        let survivors = sealed_total + records_surviving(&ends_active, off);
-        assert_eq!(
-            recovered.fingerprint().unwrap(),
-            fps[survivors],
-            "active-segment kill at byte {off} diverged: {report:?}"
-        );
-        assert_eq!(recovered.last_seq(), survivors as u64);
-    }
-
-    // Kill exactly at a rotation boundary: the active file was never
-    // created. Recovery is the sealed stream, and the sequence counter
-    // continues where it left off.
-    restore(None);
-    let (mut recovered, report) = DurableIngest::open(&rec_dir, cfg).unwrap();
-    assert_eq!(report.replayed, sealed_total);
-    assert_eq!(recovered.fingerprint().unwrap(), fps[sealed_total]);
-    let receipt = recovered.insert(src.view(250)).unwrap();
-    assert_eq!(receipt.seq, sealed_total as u64 + 1);
-    drop(recovered);
-
-    // Flip a checksum bit in a *middle* sealed segment: everything from
-    // that record on — including later segments and the active file — is
-    // unreachable and must be dropped from disk.
-    let mid = sealed.len() / 2;
-    let before_mid: usize = per_segment[..mid].iter().sum();
-    restore(Some(active.len()));
-    let mut flipped = sealed[mid].1.clone();
-    flipped[9] ^= 0x40; // inside the first record's checksum field
-    std::fs::write(rec_dir.join(&sealed[mid].0), &flipped).unwrap();
-    let (recovered, report) = DurableIngest::open(&rec_dir, cfg).unwrap();
-    assert!(report.wal.defect.is_some(), "flip must surface as a defect");
-    assert_eq!(report.replayed, before_mid);
-    assert_eq!(recovered.fingerprint().unwrap(), fps[before_mid]);
-    assert_eq!(recovered.last_seq(), before_mid as u64);
-    for (name, _) in &sealed[mid..] {
-        assert!(
-            !rec_dir.join(name).exists(),
-            "{name} should have been dropped with the broken chain"
-        );
-    }
-    assert_eq!(
-        std::fs::metadata(rec_dir.join(WAL_FILE)).unwrap().len(),
-        0,
-        "orphaned active records must not survive a mid-chain break"
-    );
-    drop(recovered);
-    // Idempotent: a second open finds nothing further to repair.
-    let (again, report2) = DurableIngest::open(&rec_dir, cfg).unwrap();
-    assert_eq!(report2.wal.bytes_dropped, 0);
-    assert_eq!(again.fingerprint().unwrap(), fps[before_mid]);
-
-    std::fs::remove_dir_all(&live_dir).ok();
-    std::fs::remove_dir_all(&rec_dir).ok();
-}
-
-#[test]
 fn snapshot_mid_stream_matches_straight_through_replay() {
     let upd = setup(PaperDataset::GloVe300, 53);
     let base_json = upd.snapshot_json().unwrap();
@@ -415,7 +294,7 @@ fn snapshot_mid_stream_matches_straight_through_replay() {
         snapshot_every: 5,
         sync_writes: false,
         retain_wal: false,
-        rotate_bytes: 0,
+        ..StoreConfig::default()
     };
     let mut store_b = DurableIngest::create(&dir_b, upd_b, cfg_b).unwrap();
     let fps_b = run_stream(&mut store_b, &src, &ops);
@@ -496,5 +375,72 @@ fn malformed_dense_bits_are_a_typed_error_on_install_and_recovery() {
         DurableIngest::open(&dir, matrix_cfg()),
         Err(StoreError::Serde(_))
     ));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn malformed_binary_rows_are_a_typed_error_on_install_and_recovery() {
+    // The binary twin of the case above: query rows that claim one more
+    // dimension than their words hold must be refused, not read past the
+    // end of a row.
+    let upd = setup(PaperDataset::ImageNet, 56);
+    let json = upd.snapshot_json().unwrap();
+    let queries = json.find("\"queries\":").unwrap();
+    let field = |key: &str| {
+        let key = format!("\"{key}\":");
+        let at = queries + json[queries..].find(&key).unwrap() + key.len();
+        (at, at + json[at..].find(',').unwrap())
+    };
+    let (at, end) = field("words_per_vec");
+    let words_per_vec: usize = json[at..end].parse().unwrap();
+    let (at, end) = field("dim");
+    let bad = format!("{}{}{}", &json[..at], 64 * words_per_vec + 1, &json[end..]).into_bytes();
+    let dir = tmp_dir("badwords");
+    let mut store = DurableIngest::create(&dir, upd, matrix_cfg()).unwrap();
+    let fp = store.fingerprint().unwrap();
+    match store.install_snapshot(5, &bad) {
+        Err(StoreError::Serde(msg)) => assert!(msg.contains("words_per_vec"), "{msg}"),
+        other => panic!("installed a malformed snapshot: {other:?}"),
+    }
+    assert_eq!(store.last_seq(), 0);
+    assert_eq!(store.fingerprint().unwrap(), fp);
+    drop(store);
+    cardest_store::write_snapshot(&dir.join(SNAPSHOT_FILE), 0, &bad).unwrap();
+    assert!(matches!(
+        DurableIngest::open(&dir, matrix_cfg()),
+        Err(StoreError::Serde(_))
+    ));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn default_store_keeps_one_wal_file_and_the_snapshot() {
+    // Under the served config, auto-snapshots truncate the one log; no
+    // other file is ever left in the store directory.
+    let cfg = StoreConfig::default();
+    let n = cfg.snapshot_every + 44;
+    let upd = setup(PaperDataset::GloVe300, 61);
+    let src = upd.data().gather(&(0..n).collect::<Vec<_>>());
+    let dir = tmp_dir("default-files");
+    let files = || {
+        let mut names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    };
+    let mut store = DurableIngest::create(&dir, upd, cfg).unwrap();
+    for i in 0..n {
+        store.insert(src.view(i)).unwrap();
+    }
+    let fp = store.fingerprint().unwrap();
+    assert_eq!(files(), [SNAPSHOT_FILE, WAL_FILE]);
+    drop(store);
+    let (store, report) = DurableIngest::open(&dir, cfg).unwrap();
+    assert_eq!(report.snapshot_seq, cfg.snapshot_every as u64);
+    assert_eq!(report.replayed, n - cfg.snapshot_every);
+    assert_eq!(store.fingerprint().unwrap(), fp);
+    assert_eq!(files(), [SNAPSHOT_FILE, WAL_FILE]);
     std::fs::remove_dir_all(&dir).ok();
 }

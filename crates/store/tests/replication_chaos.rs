@@ -92,14 +92,14 @@ fn tmp_dir(tag: &str) -> PathBuf {
 }
 
 /// Primary/standby configs: no auto-snapshots, WAL retained (the storm
-/// test wants every record streamable), tiny segments so catch-up reads
-/// span sealed files.
+/// test wants every record streamable), so catch-up reads the one
+/// `wal.log` from its first record.
 fn repl_cfg() -> StoreConfig {
     StoreConfig {
         snapshot_every: 0,
         sync_writes: false,
         retain_wal: true,
-        rotate_bytes: 4096,
+        ..StoreConfig::default()
     }
 }
 
@@ -217,19 +217,19 @@ fn compacted_primary_bootstraps_standby_from_snapshot_then_streams() {
     let base_json = upd.snapshot_json().unwrap();
     let rows: Vec<Vec<f32>> = (0..70).map(|i| dense_row(&upd, (i * 3) % N_DATA)).collect();
 
-    // Primary compacts: snapshots drop covered WAL records/segments.
+    // Primary truncates: a snapshot drops the WAL records it covers.
     let dir_p = tmp_dir("boot-p");
     let cfg = StoreConfig {
         snapshot_every: 0,
         sync_writes: false,
         retain_wal: false,
-        rotate_bytes: 2048,
+        ..StoreConfig::default()
     };
     let primary = SharedStore::new(DurableIngest::create(&dir_p, upd, cfg).unwrap());
     for v in &rows[..50] {
         primary.insert_dense(v).unwrap();
     }
-    // Snapshot + compaction: seqs 1..=50 are no longer on disk as WAL.
+    // Snapshot + truncation: seqs 1..=50 are no longer on disk as WAL.
     primary.with(|s| s.snapshot_now()).unwrap();
 
     let mut listener = ReplicationListener::start(

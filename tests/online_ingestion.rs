@@ -168,7 +168,7 @@ fn insert_under_load_crash_recover_and_serve() {
             snapshot_every: 0,
             sync_writes: false,
             retain_wal: true,
-            rotate_bytes: 0,
+            ..StoreConfig::default()
         },
     )
     .unwrap();
@@ -251,7 +251,7 @@ fn insert_under_load_crash_recover_and_serve() {
             snapshot_every: 0,
             sync_writes: false,
             retain_wal: true,
-            rotate_bytes: 0,
+            ..StoreConfig::default()
         },
     )
     .unwrap();
