@@ -36,7 +36,10 @@
 #                  fields (`snapshot_every`, `sync_writes`, `retain_wal`,
 #                  `rotate_bytes`), `CoalesceConfig::window`,
 #                  `RegistryConfig`'s fields, `Segmentation::assignment`,
-#                  and pass `IngestService::new` its artifact path.
+#                  `cardest_bench::methods::MethodConfigs::for_scale(..).gl`
+#                  (the served GL-CNN's config; `methods.rs` also holds the
+#                  QES and MLP configs), and pass `IngestService::new` its
+#                  artifact path.
 #                perfbench changes only together with the benchmark
 #                contract, so a change to any of these waits for such a
 #                change instead of failing here. `--locked` holds it to

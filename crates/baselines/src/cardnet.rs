@@ -21,7 +21,7 @@ use cardest_nn::layers::{Dense, Layer};
 use cardest_nn::loss::HybridLoss;
 use cardest_nn::metrics::decode_log_card;
 use cardest_nn::net::Sequential;
-use cardest_nn::optim::{Adam, Optimizer};
+use cardest_nn::optim::Adam;
 use cardest_nn::trainer::{BatchIter, EarlyStopper, TrainConfig, TrainReport};
 use cardest_nn::{Activation, Matrix};
 use rand::rngs::StdRng;

@@ -18,8 +18,10 @@
 //! * [`kernel`] — the kernel-based method of Mattig et al. (EDBT 2018) as
 //!   described in §6: a Gaussian kernel per sample, cardinality as the sum
 //!   of cumulative densities at τ,
-//! * [`mlp`] — the basic DL model of §3.1 with MLP embeddings for
-//!   `x_q`/`x_τ`/`x_D` (Table 2's "MLP"),
+//! * [`sample_distance`] — the basic DL model of §3.1 over `k` retained
+//!   data samples, one estimator for every net built on it (the MLP here,
+//!   QES in `cardest-core`),
+//! * [`mlp`] — its MLP embeddings for `x_q`/`x_τ`/`x_D` (Table 2's "MLP"),
 //! * [`cardnet`] — a substitute for CardNet (SIGMOD 2020 [53]): VAE-style
 //!   query embedding plus a monotone per-threshold-bucket decomposition,
 //! * [`guarded`] — the serving wrapper: input validation, `[0, |D|]`
@@ -31,6 +33,7 @@ pub mod guarded;
 pub mod histogram;
 pub mod kernel;
 pub mod mlp;
+pub mod sample_distance;
 pub mod sampling;
 pub mod traits;
 

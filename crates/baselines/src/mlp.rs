@@ -2,28 +2,24 @@
 //!
 //! Three MLP branches learn the embeddings `z_q = E1(x_q)`,
 //! `z_τ = E2(x_τ)` and `z_D = E3(x_D)` (Fig. 2); a dense + linear output
-//! module `F` regresses `ln card` on their concatenation, trained with the
-//! hybrid loss of Algorithm 1. `x_D` holds the distances from the query to
-//! `k` retained data samples (§3.1 "we use k data samples instead of the
-//! entire dataset").
+//! module `F` regresses `ln card` on their concatenation. Everything but
+//! the net — the `k` retained samples behind `x_D`, training, batched
+//! inference and the JSON form — is the shared
+//! [`SampleDistanceEstimator`]; this module supplies Fig. 2's net and the
+//! artifact kind.
 //!
 //! The threshold branch uses positivity-constrained weights so the τ-path
 //! is monotone (§5.1); `strict_monotonic` additionally constrains the
 //! output module's τ-columns and downstream weights, which makes the whole
 //! estimator provably monotone in τ (checked by property tests).
 
-use crate::traits::{CardinalityEstimator, TrainingSet};
-use cardest_data::metric::Metric;
-use cardest_data::vector::{VectorData, VectorView};
+use crate::sample_distance::{SampleDistanceConfig, SampleDistanceEstimator};
 use cardest_nn::artifact::ArtifactError;
 use cardest_nn::layers::{Dense, Layer};
-use cardest_nn::metrics::decode_log_card;
 use cardest_nn::net::{BranchNet, Sequential};
-use cardest_nn::trainer::{train_branch_regression, TrainConfig, TrainReport};
-use cardest_nn::{Activation, Matrix};
+use cardest_nn::trainer::TrainConfig;
+use cardest_nn::Activation;
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 /// Architecture hyperparameters of the basic MLP model.
@@ -58,103 +54,92 @@ impl Default for MlpConfig {
     }
 }
 
+impl SampleDistanceConfig for MlpConfig {
+    const NAME: &'static str = "MLP";
+    const SEED_SALT: u64 = 0x317;
+
+    fn k_samples(&self) -> usize {
+        self.k_samples
+    }
+
+    fn train_config(&self) -> &TrainConfig {
+        &self.train
+    }
+
+    /// Assembles the Fig. 2 architecture.
+    fn build_net(&self, dim: usize, k: usize, rng: &mut StdRng) -> BranchNet {
+        let e1 = Sequential::new(vec![
+            Layer::Dense(Dense::new(rng, dim, self.embed_q * 2, Activation::Relu)),
+            Layer::Dense(Dense::new(
+                rng,
+                self.embed_q * 2,
+                self.embed_q,
+                Activation::Relu,
+            )),
+        ]);
+        // One hidden layer, positive weights (§5.1).
+        let e2 = Sequential::new(vec![
+            Layer::Dense(Dense::new_nonneg(rng, 1, self.embed_t, Activation::Relu)),
+            Layer::Dense(Dense::new_nonneg(
+                rng,
+                self.embed_t,
+                self.embed_t,
+                Activation::Relu,
+            )),
+        ]);
+        // Two hidden layers (§5.1).
+        let e3 = Sequential::new(vec![
+            Layer::Dense(Dense::new(rng, k, self.embed_d * 2, Activation::Relu)),
+            Layer::Dense(Dense::new(
+                rng,
+                self.embed_d * 2,
+                self.embed_d,
+                Activation::Relu,
+            )),
+            Layer::Dense(Dense::new(
+                rng,
+                self.embed_d,
+                self.embed_d,
+                Activation::Relu,
+            )),
+        ]);
+        let concat = self.embed_q + self.embed_t + self.embed_d;
+        let head = if self.strict_monotonic {
+            // τ-block columns of the first head layer non-negative, and
+            // every later weight non-negative: the τ → output path stays
+            // monotone.
+            let mut mask = vec![false; concat];
+            for flag in mask.iter_mut().skip(self.embed_q).take(self.embed_t) {
+                *flag = true;
+            }
+            Sequential::new(vec![
+                Layer::Dense(
+                    Dense::new(rng, concat, self.hidden, Activation::Relu).with_nonneg_cols(mask),
+                ),
+                Layer::Dense(Dense::new_nonneg(rng, self.hidden, 1, Activation::Identity)),
+            ])
+        } else {
+            Sequential::new(vec![
+                Layer::Dense(Dense::new(rng, concat, self.hidden, Activation::Relu)),
+                Layer::Dense(Dense::new(rng, self.hidden, 1, Activation::Identity)),
+            ])
+        };
+        BranchNet::new(vec![e1, e2, e3], vec![dim, 1, k], head)
+    }
+}
+
 /// Artifact kind tag identifying a serialized [`MlpEstimator`].
 pub const MLP_ARTIFACT_KIND: &str = "cardest.mlp";
 
-/// The trained basic-MLP estimator. Inference is immutable (`&self`): the
-/// forward pass draws temporaries from a thread-local scratch pool, so one
-/// trained model can be shared across serving threads.
+/// The trained basic-MLP estimator: the shared sample-distance estimator
+/// over Fig. 2's net.
 ///
 /// Serializable: the artifact machinery (`cardest_nn::artifact`) persists
 /// the whole estimator — weights, retained samples, metric — as one
 /// checksummed payload.
-#[derive(Clone, Serialize, Deserialize)]
-pub struct MlpEstimator {
-    net: BranchNet,
-    samples: VectorData,
-    metric: Metric,
-    /// Dataset size at training time; estimates are capped here.
-    n_data: usize,
-    /// Largest threshold seen in training — the serving guard's τ bound.
-    tau_seen: f32,
-}
+pub type MlpEstimator = SampleDistanceEstimator<MlpConfig>;
 
 impl MlpEstimator {
-    /// Builds and trains the model on a labelled training set.
-    pub fn train(
-        data: &VectorData,
-        metric: Metric,
-        training: &TrainingSet<'_>,
-        cfg: &MlpConfig,
-        seed: u64,
-    ) -> (Self, TrainReport) {
-        assert!(!training.is_empty(), "training set is empty");
-        let dim = data.dim();
-        // Retain k random data samples for the distance feature.
-        let mut ids: Vec<usize> = (0..data.len()).collect();
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x317);
-        ids.shuffle(&mut rng);
-        ids.truncate(cfg.k_samples.clamp(1, data.len()));
-        let samples = data.gather(&ids);
-
-        let net = build_net(dim, samples.len(), cfg, &mut rng);
-        let tau_seen = training
-            .samples
-            .iter()
-            .map(|s| s.tau)
-            .fold(0.0f32, f32::max)
-            .max(1e-6);
-        let mut est = MlpEstimator {
-            net,
-            samples,
-            metric,
-            n_data: data.len(),
-            tau_seen,
-        };
-
-        // Precompute each training query's distance vector once.
-        let n_queries = training.queries.len();
-        let mut xd_cache: Vec<Vec<f32>> = Vec::with_capacity(n_queries);
-        for q in 0..n_queries {
-            xd_cache.push(est.distance_vector(training.queries.view(q)));
-        }
-        let queries = training.queries;
-        let samples_list = training.samples;
-        let mut qbuf: Vec<f32> = Vec::with_capacity(dim);
-        let samples_ref = &est.samples;
-        let _ = samples_ref; // est.samples borrowed only via xd_cache below
-        let mut build = |idx: &[usize]| {
-            let b = idx.len();
-            let mut xq = Matrix::zeros(b, dim);
-            let mut xt = Matrix::zeros(b, 1);
-            let mut xd = Matrix::zeros(b, xd_cache[0].len());
-            let mut cards = Vec::with_capacity(b);
-            for (r, &i) in idx.iter().enumerate() {
-                let s = &samples_list[i];
-                queries.view(s.query).write_dense(&mut qbuf);
-                xq.row_mut(r).copy_from_slice(&qbuf);
-                xt.set(r, 0, s.tau);
-                xd.row_mut(r).copy_from_slice(&xd_cache[s.query]);
-                cards.push(s.card);
-            }
-            (vec![xq, xt, xd], cards)
-        };
-        let report =
-            train_branch_regression(&mut est.net, samples_list.len(), &mut build, &cfg.train);
-        (est, report)
-    }
-
-    /// Distances from `q` to the retained samples — the feature `x_D`,
-    /// via the shared batched kernel.
-    fn distance_vector(&self, q: VectorView<'_>) -> Vec<f32> {
-        self.metric.distance_many(q, &self.samples)
-    }
-
-    /// Access to the underlying network (tests, size accounting).
-    pub fn net(&self) -> &BranchNet {
-        &self.net
-    }
-
     /// Saves the trained estimator as a versioned, checksummed artifact
     /// (atomic write; see `cardest_nn::artifact` for the layout).
     pub fn save_artifact(&self, path: &std::path::Path) -> Result<(), ArtifactError> {
@@ -171,118 +156,12 @@ impl MlpEstimator {
     }
 }
 
-/// Assembles the Fig. 2 architecture.
-fn build_net(dim: usize, k: usize, cfg: &MlpConfig, rng: &mut StdRng) -> BranchNet {
-    let e1 = Sequential::new(vec![
-        Layer::Dense(Dense::new(rng, dim, cfg.embed_q * 2, Activation::Relu)),
-        Layer::Dense(Dense::new(
-            rng,
-            cfg.embed_q * 2,
-            cfg.embed_q,
-            Activation::Relu,
-        )),
-    ]);
-    // One hidden layer, positive weights (§5.1).
-    let e2 = Sequential::new(vec![
-        Layer::Dense(Dense::new_nonneg(rng, 1, cfg.embed_t, Activation::Relu)),
-        Layer::Dense(Dense::new_nonneg(
-            rng,
-            cfg.embed_t,
-            cfg.embed_t,
-            Activation::Relu,
-        )),
-    ]);
-    // Two hidden layers (§5.1).
-    let e3 = Sequential::new(vec![
-        Layer::Dense(Dense::new(rng, k, cfg.embed_d * 2, Activation::Relu)),
-        Layer::Dense(Dense::new(
-            rng,
-            cfg.embed_d * 2,
-            cfg.embed_d,
-            Activation::Relu,
-        )),
-        Layer::Dense(Dense::new(rng, cfg.embed_d, cfg.embed_d, Activation::Relu)),
-    ]);
-    let concat = cfg.embed_q + cfg.embed_t + cfg.embed_d;
-    let head = if cfg.strict_monotonic {
-        // τ-block columns of the first head layer non-negative, and every
-        // later weight non-negative: the τ → output path stays monotone.
-        let mut mask = vec![false; concat];
-        for flag in mask.iter_mut().skip(cfg.embed_q).take(cfg.embed_t) {
-            *flag = true;
-        }
-        Sequential::new(vec![
-            Layer::Dense(
-                Dense::new(rng, concat, cfg.hidden, Activation::Relu).with_nonneg_cols(mask),
-            ),
-            Layer::Dense(Dense::new_nonneg(rng, cfg.hidden, 1, Activation::Identity)),
-        ])
-    } else {
-        Sequential::new(vec![
-            Layer::Dense(Dense::new(rng, concat, cfg.hidden, Activation::Relu)),
-            Layer::Dense(Dense::new(rng, cfg.hidden, 1, Activation::Identity)),
-        ])
-    };
-    BranchNet::new(vec![e1, e2, e3], vec![dim, 1, k], head)
-}
-
-impl CardinalityEstimator for MlpEstimator {
-    fn name(&self) -> &'static str {
-        "MLP"
-    }
-
-    fn estimate(&self, q: VectorView<'_>, tau: f32) -> f32 {
-        self.estimate_batch(&[(q, tau)])[0]
-    }
-
-    fn estimate_batch(&self, queries: &[(VectorView<'_>, f32)]) -> Vec<f32> {
-        if queries.is_empty() {
-            return Vec::new();
-        }
-        let b = queries.len();
-        let dim = self.samples.dim();
-        let k = self.samples.len();
-        cardest_nn::scratch::with_thread_scratch(|scratch| {
-            let mut xq = scratch.take(b, dim);
-            let mut xt = scratch.take(b, 1);
-            let mut xd = scratch.take(b, k);
-            let mut qbuf: Vec<f32> = Vec::with_capacity(dim);
-            for (r, &(q, tau)) in queries.iter().enumerate() {
-                q.write_dense(&mut qbuf);
-                xq.row_mut(r).copy_from_slice(&qbuf);
-                xt.set(r, 0, tau);
-                self.metric
-                    .distance_many_into(q, &self.samples, xd.row_mut(r));
-            }
-            let pred = self.net.infer(&[&xq, &xt, &xd], scratch);
-            let out = (0..b)
-                .map(|r| decode_log_card(pred.get(r, 0), self.n_data as f32))
-                .collect();
-            for m in [xq, xt, xd, pred] {
-                scratch.recycle(m);
-            }
-            out
-        })
-    }
-
-    fn model_bytes(&self) -> usize {
-        // Deployed model = parameters + the retained samples x_D needs.
-        self.net.param_bytes() + self.samples.heap_bytes()
-    }
-
-    fn expected_dim(&self) -> Option<usize> {
-        Some(self.samples.dim())
-    }
-
-    fn tau_bound(&self) -> Option<f32> {
-        Some(self.tau_seen)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::traits::{CardinalityEstimator, TrainingSet};
     use cardest_data::paper::{DatasetSpec, PaperDataset};
+    use cardest_data::vector::VectorData;
     use cardest_data::workload::SearchWorkload;
     use cardest_nn::metrics::ErrorSummary;
 
@@ -371,5 +250,30 @@ mod tests {
                 prev = e;
             }
         }
+    }
+
+    #[test]
+    fn artifact_payload_holds_exactly_the_five_fields_in_order() {
+        // Pins the JSON object inside `cardest.mlp` artifacts, which
+        // `cardest-serve` caches across versions: a field added, renamed
+        // or reordered fails here.
+        let (data, w, spec) = tiny_workload();
+        let cfg = MlpConfig {
+            k_samples: 8,
+            train: TrainConfig {
+                epochs: 1,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let training = TrainingSet::new(&w.queries, &w.train);
+        let (est, _) = MlpEstimator::train(&data, spec.metric, &training, &cfg, 54);
+        let json = serde_json::to_string(&est).unwrap();
+        let value: serde::Value = serde_json::from_str(&json).unwrap();
+        let serde::Value::Map(fields) = value else {
+            panic!("MLP payload is not a JSON object: {json:.80}");
+        };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["net", "samples", "metric", "n_data", "tau_seen"]);
     }
 }

@@ -30,7 +30,7 @@ use cardest_data::workload::JoinSet;
 use cardest_nn::loss::HybridLoss;
 use cardest_nn::metrics::decode_log_card;
 use cardest_nn::net::BranchNet;
-use cardest_nn::optim::{Adam, Optimizer};
+use cardest_nn::optim::Adam;
 use cardest_nn::parallel::{fan_exclusive, resolve_threads};
 use cardest_nn::trainer::BatchIter;
 use cardest_nn::Matrix;
@@ -102,8 +102,8 @@ impl JoinConfig {
 
 /// Backing model of a join estimator.
 enum JoinBackend {
-    /// CNNJoin: one QES-style model over the whole dataset.
-    Single(QesEstimator, VectorData, Metric),
+    /// CNNJoin: one QES model over the whole dataset.
+    Single(QesEstimator),
     /// GLJoin / GLJoin+: a transferred global-local model.
     GlobalLocal(GlEstimator),
 }
@@ -138,7 +138,7 @@ impl JoinEstimator {
                 let (qes, _) = QesEstimator::train(data, metric, training, &cfg.qes, cfg.seed);
                 JoinEstimator {
                     variant: cfg.variant,
-                    backend: JoinBackend::Single(qes, data.clone(), metric),
+                    backend: JoinBackend::Single(qes),
                 }
             }
         };
@@ -189,18 +189,14 @@ impl JoinEstimator {
                     }
                 }
             }
-            JoinBackend::Single(_, _, _) => {
+            JoinBackend::Single(qes) => {
                 // CNNJoin's fine-tuning re-trains the head on pooled
                 // embeddings below.
                 let mut opt = Adam::new(cfg.finetune_lr);
                 for _ in 0..cfg.finetune_epochs {
                     for idx in BatchIter::new(&mut rng, join_train.len(), 1) {
                         let set = &join_train[idx[0]];
-                        if let JoinBackend::Single(qes, data, metric) = &mut self.backend {
-                            finetune_single_step(
-                                qes, *metric, data, queries, set, &loss_fn, &mut opt,
-                            );
-                        }
+                        finetune_single_step(qes, queries, set, &loss_fn, &mut opt);
                     }
                 }
             }
@@ -218,9 +214,7 @@ impl JoinEstimator {
     ) -> f32 {
         match &self.backend {
             JoinBackend::GlobalLocal(gl) => gl_join_infer(gl, queries, member_ids, tau),
-            JoinBackend::Single(qes, data, metric) => {
-                single_join_infer(qes, *metric, data, queries, member_ids, tau)
-            }
+            JoinBackend::Single(qes) => single_join_infer(qes, queries, member_ids, tau),
         }
     }
 
@@ -242,14 +236,14 @@ impl CardinalityEstimator for JoinEstimator {
     fn estimate(&self, q: cardest_data::vector::VectorView<'_>, tau: f32) -> f32 {
         match &self.backend {
             JoinBackend::GlobalLocal(gl) => gl.estimate(q, tau),
-            JoinBackend::Single(qes, _, _) => qes.estimate(q, tau),
+            JoinBackend::Single(qes) => qes.estimate(q, tau),
         }
     }
 
     fn estimate_batch(&self, queries: &[(cardest_data::vector::VectorView<'_>, f32)]) -> Vec<f32> {
         match &self.backend {
             JoinBackend::GlobalLocal(gl) => gl.estimate_batch(queries),
-            JoinBackend::Single(qes, _, _) => qes.estimate_batch(queries),
+            JoinBackend::Single(qes) => qes.estimate_batch(queries),
         }
     }
 
@@ -260,21 +254,21 @@ impl CardinalityEstimator for JoinEstimator {
     fn model_bytes(&self) -> usize {
         match &self.backend {
             JoinBackend::GlobalLocal(gl) => gl.model_bytes(),
-            JoinBackend::Single(qes, _, _) => qes.model_bytes(),
+            JoinBackend::Single(qes) => qes.model_bytes(),
         }
     }
 
     fn expected_dim(&self) -> Option<usize> {
         match &self.backend {
             JoinBackend::GlobalLocal(gl) => gl.expected_dim(),
-            JoinBackend::Single(qes, _, _) => qes.expected_dim(),
+            JoinBackend::Single(qes) => qes.expected_dim(),
         }
     }
 
     fn tau_bound(&self) -> Option<f32> {
         match &self.backend {
             JoinBackend::GlobalLocal(gl) => gl.tau_bound(),
-            JoinBackend::Single(qes, _, _) => qes.tau_bound(),
+            JoinBackend::Single(qes) => qes.tau_bound(),
         }
     }
 }
@@ -370,13 +364,11 @@ fn pooled_head_infer(
 /// sample-distance embeddings over all members, one head evaluation.
 fn single_join_infer(
     qes: &QesEstimator,
-    metric: Metric,
-    data: &VectorData,
     queries: &VectorData,
     member_ids: &[usize],
     tau: f32,
 ) -> f32 {
-    let (xq, xd) = single_join_features(qes, metric, queries, member_ids);
+    let (xq, xd) = single_join_features(qes, queries, member_ids);
     let net = qes.net();
     cardest_nn::scratch::with_thread_scratch(|scratch| {
         let eq = net.infer_branch(0, &xq, scratch);
@@ -392,7 +384,7 @@ fn single_join_infer(
         scratch.recycle(zt);
         scratch.recycle(out);
         // Cap at the trivial bound |Q|·|D|.
-        let cap = (member_ids.len() * data.len()) as f32;
+        let cap = (member_ids.len() * qes.n_data()) as f32;
         decode_log_card(o, cap)
     })
 }
@@ -400,22 +392,18 @@ fn single_join_infer(
 /// Member query matrix `x_q` and sample-distance matrix `x_D` for CNNJoin.
 fn single_join_features(
     qes: &QesEstimator,
-    metric: Metric,
     queries: &VectorData,
     member_ids: &[usize],
 ) -> (Matrix, Matrix) {
     let dim = queries.dim();
     let mut xq = Matrix::zeros(member_ids.len(), dim);
+    let mut xd = Matrix::zeros(member_ids.len(), qes.samples().len());
     let mut buf = Vec::with_capacity(dim);
-    let k = qes.samples().len();
-    let mut xd = Matrix::zeros(member_ids.len(), k);
     for (r, &qid) in member_ids.iter().enumerate() {
         let view = queries.view(qid);
         view.write_dense(&mut buf);
         xq.row_mut(r).copy_from_slice(&buf);
-        for i in 0..k {
-            xd.set(r, i, metric.distance(view, qes.samples().view(i)));
-        }
+        qes.sample_distances_into(view, xd.row_mut(r));
     }
     (xq, xd)
 }
@@ -572,13 +560,11 @@ fn finetune_gl_step(
 /// embeddings over all members, one head evaluation.
 fn single_join_forward(
     qes: &mut QesEstimator,
-    metric: Metric,
-    _data: &VectorData,
     queries: &VectorData,
     member_ids: &[usize],
     tau: f32,
 ) -> (f32, usize) {
-    let (xq, xd) = single_join_features(qes, metric, queries, member_ids);
+    let (xq, xd) = single_join_features(qes, queries, member_ids);
     let net = qes.net_mut();
     let zq = net.forward_branch(0, &xq).sum_rows();
     let zt = net.forward_branch(1, &Matrix::from_row(&[tau]));
@@ -586,22 +572,19 @@ fn single_join_forward(
     let concat = Matrix::hconcat(&[&zq, &zt, &zd]);
     let o = net.forward_head(&concat).get(0, 0);
     // Cap at the trivial bound |Q|·|D|.
-    let cap = (member_ids.len() * _data.len()) as f32;
+    let cap = (member_ids.len() * qes.n_data()) as f32;
     (decode_log_card(o, cap), member_ids.len())
 }
 
 /// One fine-tuning step of CNNJoin on one join set.
 fn finetune_single_step(
     qes: &mut QesEstimator,
-    metric: Metric,
-    data: &VectorData,
     queries: &VectorData,
     set: &JoinSet,
     loss_fn: &HybridLoss,
     opt: &mut Adam,
 ) {
-    let (total, n_members) =
-        single_join_forward(qes, metric, data, queries, &set.query_ids, set.tau);
+    let (total, n_members) = single_join_forward(qes, queries, &set.query_ids, set.tau);
     let pred_log = total.max(1e-3).ln();
     let (_, grad) = loss_fn.eval(&[pred_log], &[set.card]);
     // total = exp(o) → d pred_log/d o = 1.

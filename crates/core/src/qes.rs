@@ -7,7 +7,9 @@
 //! `g()`, and a final dense layer emits the query embedding `z_q`. The
 //! auxiliary feature is `x_D`, the distances from the query to `k`
 //! retained data samples, and the head regresses `ln card` under the
-//! hybrid loss of Algorithm 1.
+//! hybrid loss of Algorithm 1. Only the net is QES's own: the samples,
+//! training and batched inference are the sample-distance estimator it
+//! shares with the MLP baseline ([`SampleDistanceEstimator`]).
 //!
 //! QES is trained on the whole dataset (no data segmentation); the
 //! global-local variants in [`crate::gl`] reuse the same architecture per
@@ -17,17 +19,10 @@ use crate::arch::{
     build_aux_branch, build_monotonic_head, build_query_branch, build_regressor,
     build_threshold_branch, ModelDims, QueryEmbed,
 };
-use cardest_baselines::traits::{CardinalityEstimator, TrainingSet};
-use cardest_data::metric::Metric;
-use cardest_data::vector::{VectorData, VectorView};
-use cardest_nn::metrics::decode_log_card;
+use cardest_baselines::sample_distance::{SampleDistanceConfig, SampleDistanceEstimator};
 use cardest_nn::net::BranchNet;
-use cardest_nn::net::Sequential;
-use cardest_nn::trainer::{train_branch_regression, TrainConfig, TrainReport};
-use cardest_nn::Matrix;
+use cardest_nn::trainer::TrainConfig;
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 /// QES hyperparameters.
@@ -61,179 +56,48 @@ impl Default for QesConfig {
     }
 }
 
-/// The trained QES estimator. Inference is immutable (`&self`) and
-/// batchable: the CNN embedding and head run on true `B×d` batches with
-/// temporaries drawn from a thread-local scratch pool.
-pub struct QesEstimator {
-    net: BranchNet,
-    samples: VectorData,
-    metric: Metric,
-    /// Dataset size at training time; estimates are capped here (a search
-    /// cardinality cannot exceed the dataset).
-    n_data: usize,
-    /// Largest threshold seen in training — the serving guard's τ bound.
-    tau_seen: f32,
-}
+impl SampleDistanceConfig for QesConfig {
+    const NAME: &'static str = "QES";
+    const SEED_SALT: u64 = 0x9E5;
 
-impl QesEstimator {
-    /// Builds and trains QES.
-    pub fn train(
-        data: &VectorData,
-        metric: Metric,
-        training: &TrainingSet<'_>,
-        cfg: &QesConfig,
-        seed: u64,
-    ) -> (Self, TrainReport) {
-        assert!(!training.is_empty(), "training set is empty");
-        let dim = data.dim();
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x9E5);
-        let embed = cfg
+    fn k_samples(&self) -> usize {
+        self.k_samples
+    }
+
+    fn train_config(&self) -> &TrainConfig {
+        &self.train
+    }
+
+    /// The segmentation-CNN regressor, or with `strict_monotonic` the same
+    /// branches under the monotone head.
+    fn build_net(&self, dim: usize, k: usize, rng: &mut StdRng) -> BranchNet {
+        let embed = self
             .cnn
             .clone()
-            .unwrap_or_else(|| QueryEmbed::default_cnn(dim, cfg.n_query_segments));
-        // Retain k data samples for x_D.
-        let mut ids: Vec<usize> = (0..data.len()).collect();
-        ids.shuffle(&mut rng);
-        ids.truncate(cfg.k_samples.clamp(1, data.len()));
-        let samples = data.gather(&ids);
-
-        let net = if cfg.strict_monotonic {
-            let bq = build_query_branch(&mut rng, dim, &embed, cfg.dims.embed_q);
-            let bt: Sequential = build_threshold_branch(&mut rng, 1, cfg.dims.embed_t);
-            let ba = build_aux_branch(&mut rng, samples.len(), cfg.dims.embed_aux);
-            let concat = cfg.dims.embed_q + cfg.dims.embed_t + cfg.dims.embed_aux;
-            let head = build_monotonic_head(
-                &mut rng,
-                concat,
-                cfg.dims.hidden,
-                (cfg.dims.embed_q, cfg.dims.embed_t),
-            );
-            cardest_nn::net::BranchNet::new(vec![bq, bt, ba], vec![dim, 1, samples.len()], head)
-        } else {
-            build_regressor(&mut rng, dim, 1, samples.len(), &embed, &cfg.dims)
-        };
-        let tau_seen = training
-            .samples
-            .iter()
-            .map(|s| s.tau)
-            .fold(0.0f32, f32::max)
-            .max(1e-6);
-        let mut est = QesEstimator {
-            net,
-            samples,
-            metric,
-            n_data: data.len(),
-            tau_seen,
-        };
-
-        // Cache per-query features once.
-        let mut xd_cache: Vec<Vec<f32>> = Vec::with_capacity(training.queries.len());
-        let mut xq_cache: Vec<Vec<f32>> = Vec::with_capacity(training.queries.len());
-        for q in 0..training.queries.len() {
-            let view = training.queries.view(q);
-            xd_cache.push(est.distance_vector(view));
-            let mut buf = Vec::with_capacity(dim);
-            view.write_dense(&mut buf);
-            xq_cache.push(buf);
+            .unwrap_or_else(|| QueryEmbed::default_cnn(dim, self.n_query_segments));
+        let dims = &self.dims;
+        if !self.strict_monotonic {
+            return build_regressor(rng, dim, 1, k, &embed, dims);
         }
-        let samples_list = training.samples;
-        let k = est.samples.len();
-        let mut build = |idx: &[usize]| {
-            let b = idx.len();
-            let mut xq = Matrix::zeros(b, dim);
-            let mut xt = Matrix::zeros(b, 1);
-            let mut xd = Matrix::zeros(b, k);
-            let mut cards = Vec::with_capacity(b);
-            for (r, &i) in idx.iter().enumerate() {
-                let s = &samples_list[i];
-                xq.row_mut(r).copy_from_slice(&xq_cache[s.query]);
-                xt.set(r, 0, s.tau);
-                xd.row_mut(r).copy_from_slice(&xd_cache[s.query]);
-                cards.push(s.card);
-            }
-            (vec![xq, xt, xd], cards)
-        };
-        let report =
-            train_branch_regression(&mut est.net, samples_list.len(), &mut build, &cfg.train);
-        (est, report)
-    }
-
-    fn distance_vector(&self, q: VectorView<'_>) -> Vec<f32> {
-        self.metric.distance_many(q, &self.samples)
-    }
-
-    pub fn net(&self) -> &BranchNet {
-        &self.net
-    }
-
-    /// Mutable network access (the join model drives the branches and head
-    /// separately around its sum-pooling layer).
-    pub fn net_mut(&mut self) -> &mut BranchNet {
-        &mut self.net
-    }
-
-    /// The retained data samples backing `x_D`.
-    pub fn samples(&self) -> &VectorData {
-        &self.samples
+        let bq = build_query_branch(rng, dim, &embed, dims.embed_q);
+        let bt = build_threshold_branch(rng, 1, dims.embed_t);
+        let ba = build_aux_branch(rng, k, dims.embed_aux);
+        let concat = dims.embed_q + dims.embed_t + dims.embed_aux;
+        let head = build_monotonic_head(rng, concat, dims.hidden, (dims.embed_q, dims.embed_t));
+        BranchNet::new(vec![bq, bt, ba], vec![dim, 1, k], head)
     }
 }
 
-impl CardinalityEstimator for QesEstimator {
-    fn name(&self) -> &'static str {
-        "QES"
-    }
-
-    fn estimate(&self, q: VectorView<'_>, tau: f32) -> f32 {
-        self.estimate_batch(&[(q, tau)])[0]
-    }
-
-    fn estimate_batch(&self, queries: &[(VectorView<'_>, f32)]) -> Vec<f32> {
-        if queries.is_empty() {
-            return Vec::new();
-        }
-        let b = queries.len();
-        let dim = self.net.in_dims()[0];
-        let k = self.samples.len();
-        cardest_nn::scratch::with_thread_scratch(|scratch| {
-            let mut xq = scratch.take(b, dim);
-            let mut xt = scratch.take(b, 1);
-            let mut xd = scratch.take(b, k);
-            let mut qbuf: Vec<f32> = Vec::with_capacity(dim);
-            for (r, &(q, tau)) in queries.iter().enumerate() {
-                q.write_dense(&mut qbuf);
-                xq.row_mut(r).copy_from_slice(&qbuf);
-                xt.set(r, 0, tau);
-                self.metric
-                    .distance_many_into(q, &self.samples, xd.row_mut(r));
-            }
-            let pred = self.net.infer(&[&xq, &xt, &xd], scratch);
-            let out = (0..b)
-                .map(|r| decode_log_card(pred.get(r, 0), self.n_data as f32))
-                .collect();
-            for m in [xq, xt, xd, pred] {
-                scratch.recycle(m);
-            }
-            out
-        })
-    }
-
-    fn model_bytes(&self) -> usize {
-        self.net.param_bytes() + self.samples.heap_bytes()
-    }
-
-    fn expected_dim(&self) -> Option<usize> {
-        Some(self.net.in_dims()[0])
-    }
-
-    fn tau_bound(&self) -> Option<f32> {
-        Some(self.tau_seen)
-    }
-}
+/// The trained QES estimator: the shared sample-distance estimator over
+/// the segmentation-CNN net.
+pub type QesEstimator = SampleDistanceEstimator<QesConfig>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cardest_baselines::traits::{CardinalityEstimator, TrainingSet};
     use cardest_data::paper::{DatasetSpec, PaperDataset};
+    use cardest_data::vector::VectorData;
     use cardest_data::workload::SearchWorkload;
     use cardest_nn::metrics::ErrorSummary;
 

@@ -61,12 +61,6 @@ impl Activation {
             Activation::Identity => 1.0,
         }
     }
-
-    /// Whether the activation is monotone non-decreasing. All supported
-    /// activations are; the monotonicity argument of §5.1 relies on this.
-    pub fn is_monotone(self) -> bool {
-        true
-    }
 }
 
 /// Numerically-stable logistic sigmoid.

@@ -22,7 +22,7 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// A mutable view over one parameter tensor and its gradient accumulator.
-/// Optimizers iterate these in a deterministic order.
+/// The optimizer iterates these in a deterministic order.
 pub struct ParamSlice<'a> {
     pub values: &'a mut [f32],
     pub grads: &'a mut [f32],

@@ -28,7 +28,7 @@
 //! * [`loss`] — the paper's hybrid MAPE + λ·Q-error regression loss
 //!   (§3.1) and the cardinality-weighted BCE loss of the global model
 //!   (§3.3),
-//! * [`optim`] — Adam and SGD,
+//! * [`optim`] — Adam,
 //! * [`metrics`] — Q-error / MAPE summaries used throughout the evaluation.
 //!
 //! Determinism: every random choice flows through a caller-provided seeded
@@ -89,7 +89,7 @@ pub use layers::{Conv1d, Dense, Layer, PoolOp, WeightConstraint};
 pub use loss::{hybrid_loss, weighted_bce_loss, HybridLoss};
 pub use metrics::{decode_log_card, mape, q_error, ErrorSummary};
 pub use net::{BranchNet, Sequential};
-pub use optim::{Adam, Optimizer, Sgd};
+pub use optim::Adam;
 pub use parallel::{
     fan_exclusive, parallel_largest_first, resolve_threads, set_train_threads, train_threads,
 };

@@ -192,10 +192,6 @@ impl BranchNet {
         }
     }
 
-    pub fn num_branches(&self) -> usize {
-        self.branches.len()
-    }
-
     pub fn in_dims(&self) -> &[usize] {
         &self.in_dims
     }
@@ -294,14 +290,6 @@ impl BranchNet {
 
     pub fn branch_out_dims(&self) -> &[usize] {
         &self.branch_out_dims
-    }
-
-    pub fn branches_mut(&mut self) -> &mut [Sequential] {
-        &mut self.branches
-    }
-
-    pub fn head_mut(&mut self) -> &mut Sequential {
-        &mut self.head
     }
 
     pub fn params_mut(&mut self) -> Vec<ParamSlice<'_>> {

@@ -1,25 +1,11 @@
-//! Optimizers: Adam (used for every model in the paper) and plain SGD with
-//! momentum (kept for ablations).
+//! The optimizer: Adam, used for every model in the paper.
 //!
-//! Optimizers hold flat per-parameter state aligned with the deterministic
-//! visitation order of `params_mut()`; after a step they zero the gradient
+//! Adam holds flat per-parameter state aligned with the deterministic
+//! visitation order of `params_mut()`; after a step it zeroes the gradient
 //! accumulators so layers can simply `+=` into them during backward.
 
 use crate::layers::ParamSlice;
 use serde::{Deserialize, Serialize};
-
-/// A first-order optimizer stepping a list of parameter slices.
-pub trait Optimizer {
-    /// Applies one update step and zeroes the gradients.
-    fn step(&mut self, params: &mut [ParamSlice<'_>]);
-
-    /// Current learning rate.
-    fn learning_rate(&self) -> f32;
-
-    /// Overrides the learning rate (used by fine-tuning phases, which the
-    /// paper runs at a smaller LR for 2–3 iterations on join transfer).
-    fn set_learning_rate(&mut self, lr: f32);
-}
 
 /// Adam (Kingma & Ba) with bias correction.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -45,10 +31,9 @@ impl Adam {
             v: Vec::new(),
         }
     }
-}
 
-impl Optimizer for Adam {
-    fn step(&mut self, params: &mut [ParamSlice<'_>]) {
+    /// Applies one update step and zeroes the gradients.
+    pub fn step(&mut self, params: &mut [ParamSlice<'_>]) {
         // Lazily size the state on first use; the parameter list shape is
         // fixed for a model's lifetime.
         if self.m.len() != params.len() {
@@ -78,57 +63,14 @@ impl Optimizer for Adam {
         }
     }
 
-    fn learning_rate(&self) -> f32 {
+    /// Current learning rate.
+    pub fn learning_rate(&self) -> f32 {
         self.lr
     }
 
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-}
-
-/// SGD with classical momentum.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Sgd {
-    pub lr: f32,
-    pub momentum: f32,
-    velocity: Vec<Vec<f32>>,
-}
-
-impl Sgd {
-    pub fn new(lr: f32, momentum: f32) -> Self {
-        Sgd {
-            lr,
-            momentum,
-            velocity: Vec::new(),
-        }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, params: &mut [ParamSlice<'_>]) {
-        if self.velocity.len() != params.len() {
-            self.velocity = params.iter().map(|p| vec![0.0; p.values.len()]).collect();
-        }
-        for (pi, p) in params.iter_mut().enumerate() {
-            let vel = &mut self.velocity[pi];
-            for ((v, val), g) in vel
-                .iter_mut()
-                .zip(p.values.iter_mut())
-                .zip(p.grads.iter_mut())
-            {
-                *v = self.momentum * *v + *g;
-                *val -= self.lr * *v;
-                *g = 0.0;
-            }
-        }
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
+    /// Overrides the learning rate (the trainers' plateau cuts and
+    /// per-epoch decay).
+    pub fn set_learning_rate(&mut self, lr: f32) {
         self.lr = lr;
     }
 }
@@ -148,23 +90,6 @@ mod tests {
         let mut g = vec![0.0f32; 4];
         let mut opt = Adam::new(0.1);
         for _ in 0..500 {
-            let grad = quad_grad(&x);
-            g.copy_from_slice(&grad);
-            let mut params = vec![ParamSlice {
-                values: &mut x,
-                grads: &mut g,
-            }];
-            opt.step(&mut params);
-        }
-        assert!(x.iter().all(|v| (v - 3.0).abs() < 1e-2), "x = {x:?}");
-    }
-
-    #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut x = vec![10.0f32; 3];
-        let mut g = vec![0.0f32; 3];
-        let mut opt = Sgd::new(0.05, 0.9);
-        for _ in 0..400 {
             let grad = quad_grad(&x);
             g.copy_from_slice(&grad);
             let mut params = vec![ParamSlice {

@@ -28,7 +28,7 @@
 
 use crate::loss::{weighted_bce_partial, HybridLoss};
 use crate::net::BranchNet;
-use crate::optim::{Adam, Optimizer};
+use crate::optim::Adam;
 use crate::parallel::resolve_threads;
 use crate::tensor::Matrix;
 use rand::rngs::StdRng;

@@ -174,6 +174,7 @@ struct BatchedModels {
     w: SearchWorkload,
     tau_max: f32,
     mlp: MlpEstimator,
+    qes: QesEstimator,
     cardnet: CardNet,
     gl_cnn: GlEstimator,
     gl_plus: GlEstimator,
@@ -200,6 +201,12 @@ fn batched_models() -> &'static BatchedModels {
         };
         mlp_cfg.train.epochs = 3;
         let (mlp, _) = MlpEstimator::train(&data, spec.metric, &training, &mlp_cfg, 31);
+        let mut qes_cfg = QesConfig {
+            k_samples: 16,
+            ..Default::default()
+        };
+        qes_cfg.train.epochs = 3;
+        let (qes, _) = QesEstimator::train(&data, spec.metric, &training, &qes_cfg, 31);
         let mut cn_cfg = CardNetConfig::default();
         cn_cfg.train.epochs = 3;
         let (cardnet, _) = CardNet::train(&training, spec.tau_max, &cn_cfg, 31);
@@ -221,6 +228,7 @@ fn batched_models() -> &'static BatchedModels {
             w,
             tau_max: spec.tau_max,
             mlp,
+            qes,
             cardnet,
             gl_cnn,
             gl_plus,
@@ -273,6 +281,7 @@ proptest! {
         let picks: Vec<(usize, f32)> =
             picks.iter().map(|&(q, t)| (q, t * m.tau_max)).collect();
         assert_batch_parity(&m.mlp, &m.w, &picks)?;
+        assert_batch_parity(&m.qes, &m.w, &picks)?;
         assert_batch_parity(&m.cardnet, &m.w, &picks)?;
         assert_batch_parity(&m.gl_cnn, &m.w, &picks)?;
         assert_batch_parity(&m.gl_plus, &m.w, &picks)?;
@@ -324,8 +333,8 @@ proptest! {
     fn every_estimator_is_finite_and_non_negative(q in 0usize..50, t in 0.0f32..2.0) {
         let m = batched_models();
         let tau = t * m.tau_max;
-        let ests: [&dyn CardinalityEstimator; 7] = [
-            &m.mlp, &m.cardnet, &m.gl_cnn, &m.gl_plus,
+        let ests: [&dyn CardinalityEstimator; 8] = [
+            &m.mlp, &m.qes, &m.cardnet, &m.gl_cnn, &m.gl_plus,
             &m.sampling, &m.kernel, &m.histogram,
         ];
         for est in ests {
