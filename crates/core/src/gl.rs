@@ -286,20 +286,9 @@ impl GlEstimator {
         &mut self.locals
     }
 
-    pub(crate) fn parts_mut(
-        &mut self,
-    ) -> (&mut [BranchNet], Option<&mut GlobalModel>, &Segmentation) {
-        (&mut self.locals, self.global.as_mut(), &self.segmentation)
-    }
-
     /// Threshold normalizer used by the expanded τ features.
     pub fn tau_scale(&self) -> f32 {
         self.tau_scale
-    }
-
-    /// The per-segment radii the model was trained with.
-    pub(crate) fn radii(&self) -> &[f32] {
-        &self.radii
     }
 
     /// Labelled samples as this model sees them: the per-query caches
@@ -674,23 +663,16 @@ fn eval_local_group(
     out
 }
 
-/// Per-segment auxiliary features for one (query, τ) pair: the centroid
-/// distances `x_C` of Fig. 5 plus, per segment, the triangle-inequality
-/// overlap `τ − (d(q, c_i) − r_i)` — how deep the query ball penetrates
-/// the segment ball (§5.1 motivates exactly this bound: "we could compute
-/// the distance upper bound between a query and a data object in a data
+/// Per-segment auxiliary features for one (query, τ) pair, written into a
+/// caller-owned slice of width `2·n`: the centroid distances `x_C` of
+/// Fig. 5 plus, per segment, the triangle-inequality overlap
+/// `τ − (d(q, c_i) − r_i)` — how deep the query ball penetrates the
+/// segment ball (§5.1 motivates exactly this bound: "we could compute the
+/// distance upper bound between a query and a data object in a data
 /// segment ... by using triangle inequality on the distance of the query
 /// to the centroid, and this segment's radius"). Feeding the bound as a
 /// feature is what lets a local model generalize to unseen queries
 /// instead of keying on training-query identity.
-pub fn aux_features(xc: &[f32], radii: &[f32], tau: f32) -> Vec<f32> {
-    let mut out = vec![0.0; 2 * xc.len()];
-    aux_features_into(xc, radii, tau, &mut out);
-    out
-}
-
-/// [`aux_features`] writing into a caller-owned slice of width `2·n` —
-/// the allocation-free form used by the batched feature assembly.
 pub fn aux_features_into(xc: &[f32], radii: &[f32], tau: f32, out: &mut [f32]) {
     let n = xc.len();
     debug_assert_eq!(out.len(), 2 * n, "aux feature slice width mismatch");

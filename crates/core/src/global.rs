@@ -20,6 +20,7 @@ use crate::arch::{
 use crate::gl::SampleInputs;
 use crate::labels::SegmentLabels;
 use cardest_baselines::traits::TrainingSet;
+use cardest_data::workload::SearchSample;
 use cardest_nn::net::BranchNet;
 use cardest_nn::trainer::{train_global_classifier, TrainConfig, TrainReport};
 use cardest_nn::Matrix;
@@ -40,7 +41,7 @@ pub struct GlobalConfig {
     /// Threshold normalizer for the expanded τ features.
     pub tau_scale: f32,
     /// Per-segment radii for the overlap features (see
-    /// [`crate::gl::aux_features`]).
+    /// [`crate::gl::aux_features_into`]).
     pub radii: Vec<f32>,
     pub train: TrainConfig,
 }
@@ -152,22 +153,9 @@ impl GlobalModel {
         self.sigma
     }
 
-    /// Per-segment selection probabilities for one query. Immutable — the
-    /// forward pass runs through the shared-model inference path.
-    pub fn probabilities(&self, xq: &[f32], tau: f32, xc: &[f32]) -> Vec<f32> {
-        let q = Matrix::from_row(xq);
-        let t = Matrix::from_row(&tau_features(tau, self.tau_scale));
-        let c = Matrix::from_row(&crate::gl::aux_features(xc, &self.radii, tau));
-        cardest_nn::scratch::with_thread_scratch(|scratch| {
-            let p = self.net.infer(&[&q, &t, &c], scratch);
-            let out = p.as_slice().to_vec();
-            scratch.recycle(p);
-            out
-        })
-    }
-
-    /// Per-segment probabilities for a whole query batch in one forward
-    /// pass: row `r` of the result holds query `r`'s probabilities.
+    /// Per-segment selection probabilities for a query batch in one forward
+    /// pass through the shared-model inference path: row `r` of the result
+    /// holds query `r`'s probabilities.
     /// `xq` is `[B, dim]`, `xc` is `[B, n_segments]` centroid distances.
     pub fn probabilities_batch(&self, xq: &Matrix, taus: &[f32], xc: &Matrix) -> Matrix {
         assert_eq!(xq.rows(), taus.len(), "one τ per query required");
@@ -187,17 +175,10 @@ impl GlobalModel {
         })
     }
 
-    /// The discretized selection (the "Global Discriminative Module"):
-    /// segments whose probability exceeds σ.
-    pub fn select(&self, xq: &[f32], tau: f32, xc: &[f32]) -> Vec<bool> {
-        self.probabilities(xq, tau, xc)
-            .iter()
-            .map(|&p| p > self.sigma)
-            .collect()
-    }
-
-    /// Batched selection matrix `M` for a join query set (§4): row `r` is
-    /// the indicator vector of query `r`.
+    /// The discretized selection (the "Global Discriminative Module") for
+    /// a query batch: row `r` flags the segments whose probability for
+    /// query `r` exceeds σ — for a join query set, the indicating matrix
+    /// `M` of §4.
     pub fn select_batch(&self, xq: &Matrix, taus: &[f32], xc: &Matrix) -> Vec<Vec<bool>> {
         let probs = self.probabilities_batch(xq, taus, xc);
         (0..probs.rows())
@@ -220,29 +201,41 @@ pub fn missing_rate(
     xq_cache: &[Vec<f32>],
     xc_cache: &[Vec<f32>],
 ) -> f32 {
-    let mut total = 0.0f64;
-    let mut counted = 0usize;
-    for (j, s) in training.samples.iter().enumerate() {
-        let row = labels.row(j);
-        let card: f32 = row.iter().sum();
-        if card <= 0.0 {
-            continue;
-        }
-        let selected = global.select(&xq_cache[s.query], s.tau, &xc_cache[s.query]);
-        let missed: f32 = row
-            .iter()
-            .zip(&selected)
-            .filter(|(_, &sel)| !sel)
-            .map(|(&c, _)| c)
-            .sum();
-        total += (missed / card) as f64;
-        counted += 1;
+    // Samples with a match, with their per-segment cardinalities.
+    let counted: Vec<(&SearchSample, &[f32], f32)> = training
+        .samples
+        .iter()
+        .enumerate()
+        .map(|(j, s)| (s, labels.row(j), labels.row(j).iter().sum()))
+        .filter(|&(_, _, card)| card > 0.0)
+        .collect();
+    if counted.is_empty() {
+        return 0.0;
     }
-    if counted == 0 {
-        0.0
-    } else {
-        (total / counted as f64) as f32
-    }
+    let xq: Vec<&[f32]> = counted
+        .iter()
+        .map(|(s, ..)| &xq_cache[s.query][..])
+        .collect();
+    let xc: Vec<&[f32]> = counted
+        .iter()
+        .map(|(s, ..)| &xc_cache[s.query][..])
+        .collect();
+    let taus: Vec<f32> = counted.iter().map(|(s, ..)| s.tau).collect();
+    let selected = global.select_batch(&Matrix::from_rows(&xq), &taus, &Matrix::from_rows(&xc));
+    let total: f64 = counted
+        .iter()
+        .zip(&selected)
+        .map(|(&(_, row, card), sel)| {
+            let missed: f32 = row
+                .iter()
+                .zip(sel)
+                .filter(|(_, &sel)| !sel)
+                .map(|(&c, _)| c)
+                .sum();
+            (missed / card) as f64
+        })
+        .sum();
+    (total / counted.len() as f64) as f32
 }
 
 #[cfg(test)]
@@ -312,13 +305,13 @@ mod tests {
         let miss = missing_rate(&g, &training, &f.labels, &f.xq, &f.xc);
         assert!(miss < 0.5, "missing rate {miss} too high");
         // The selection must actually prune something on average.
-        let mut selected = 0usize;
-        let mut total = 0usize;
-        for s in f.w.train.iter().take(100) {
-            let sel = g.select(&f.xq[s.query], s.tau, &f.xc[s.query]);
-            selected += sel.iter().filter(|&&b| b).count();
-            total += sel.len();
-        }
+        let samples = &f.w.train[..f.w.train.len().min(100)];
+        let xq: Vec<&[f32]> = samples.iter().map(|s| &f.xq[s.query][..]).collect();
+        let xc: Vec<&[f32]> = samples.iter().map(|s| &f.xc[s.query][..]).collect();
+        let taus: Vec<f32> = samples.iter().map(|s| s.tau).collect();
+        let sel = g.select_batch(&Matrix::from_rows(&xq), &taus, &Matrix::from_rows(&xc));
+        let selected = sel.iter().flatten().filter(|&&b| b).count();
+        let total = sel.iter().map(Vec::len).sum::<usize>();
         assert!(
             selected < total,
             "global model selects every segment for every query"
@@ -330,15 +323,11 @@ mod tests {
         let f = fixture(92);
         let g = train_with(&f, true, 92);
         let s = &f.w.train[3];
-        let probs = g.probabilities(&f.xq[s.query], s.tau, &f.xc[s.query]);
-        assert_eq!(probs.len(), g.n_segments());
-        assert!(probs.iter().all(|p| (0.0..=1.0).contains(p)));
-        // Batch API agrees with the single-query API.
         let xq = Matrix::from_row(&f.xq[s.query]);
         let xc = Matrix::from_row(&f.xc[s.query]);
-        let batch = g.select_batch(&xq, &[s.tau], &xc);
-        let single = g.select(&f.xq[s.query], s.tau, &f.xc[s.query]);
-        assert_eq!(batch[0], single);
+        let probs = g.probabilities_batch(&xq, &[s.tau], &xc);
+        assert_eq!(probs.cols(), g.n_segments());
+        assert!(probs.as_slice().iter().all(|p| (0.0..=1.0).contains(p)));
     }
 
     #[test]

@@ -14,18 +14,22 @@
 //!   transferred from the search model "by training on a few samples and
 //!   by only 2-3 iterations" (§4).
 //!
-//! Three variants (Table 2 rows 11–13):
+//! Three variants (Table 2 rows 11–13) share one pooled pass — one input
+//! assembly, one forward, one backward and one fine-tune step:
 //! * **CNNJoin** — sum-pooled query-segmentation embeddings, *no* data
-//!   segmentation (one model over the whole dataset),
+//!   segmentation: the pass over one model (QES's net), every member
+//!   routed to it,
 //! * **GLJoin** — global-local with MLP query embeddings,
 //! * **GLJoin+** — global-local with the tuned CNN embeddings of GL+.
+//!
+//! The global-local variants take their member rows from the search
+//! model's serving inputs (`GlEstimator::batch_inputs`).
 
-use crate::arch::tau_features;
-use crate::gl::{GlConfig, GlEstimator, GlVariant};
+use crate::gl::{BatchInputs, GlConfig, GlEstimator, GlVariant};
 use crate::qes::{QesConfig, QesEstimator};
 use cardest_baselines::traits::{CardinalityEstimator, TrainingSet};
 use cardest_data::metric::Metric;
-use cardest_data::vector::VectorData;
+use cardest_data::vector::{VectorData, VectorView};
 use cardest_data::workload::JoinSet;
 use cardest_nn::loss::HybridLoss;
 use cardest_nn::metrics::decode_log_card;
@@ -33,7 +37,7 @@ use cardest_nn::net::BranchNet;
 use cardest_nn::optim::Adam;
 use cardest_nn::parallel::{fan_exclusive, resolve_threads};
 use cardest_nn::trainer::BatchIter;
-use cardest_nn::Matrix;
+use cardest_nn::{Matrix, Scratch};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -108,6 +112,24 @@ enum JoinBackend {
     GlobalLocal(GlEstimator),
 }
 
+impl JoinBackend {
+    /// The models the pooled pass runs: the local models, or CNNJoin's
+    /// one QES net.
+    fn nets(&self) -> &[BranchNet] {
+        match self {
+            JoinBackend::GlobalLocal(gl) => gl.locals(),
+            JoinBackend::Single(qes) => std::slice::from_ref(qes.net()),
+        }
+    }
+
+    fn nets_mut(&mut self) -> &mut [BranchNet] {
+        match self {
+            JoinBackend::GlobalLocal(gl) => gl.locals_mut(),
+            JoinBackend::Single(qes) => std::slice::from_mut(qes.net_mut()),
+        }
+    }
+}
+
 /// A trained join estimator.
 pub struct JoinEstimator {
     variant: JoinVariant,
@@ -174,48 +196,131 @@ impl JoinEstimator {
         let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x70_17);
         let loss_fn = HybridLoss::default();
         let threads = resolve_threads(cfg.base.local_train.threads);
-        match &mut self.backend {
-            JoinBackend::GlobalLocal(gl) => {
-                // One optimizer per local model keeps Adam state aligned
-                // even though each join set touches a different segment
-                // subset.
-                let mut opts: Vec<Adam> = (0..gl.n_segments())
-                    .map(|_| Adam::new(cfg.finetune_lr))
-                    .collect();
-                for _ in 0..cfg.finetune_epochs {
-                    for idx in BatchIter::new(&mut rng, join_train.len(), 1) {
-                        let set = &join_train[idx[0]];
-                        finetune_gl_step(gl, queries, set, &loss_fn, &mut opts, threads);
-                    }
-                }
-            }
-            JoinBackend::Single(qes) => {
-                // CNNJoin's fine-tuning re-trains the head on pooled
-                // embeddings below.
-                let mut opt = Adam::new(cfg.finetune_lr);
-                for _ in 0..cfg.finetune_epochs {
-                    for idx in BatchIter::new(&mut rng, join_train.len(), 1) {
-                        let set = &join_train[idx[0]];
-                        finetune_single_step(qes, queries, set, &loss_fn, &mut opt);
+        // CNNJoin's one pooled output over 50–100 members often starts
+        // above its `|Q|·|D|` cap, where no gradient would leave it stuck.
+        let through_cap = matches!(self.backend, JoinBackend::Single(_));
+        // One optimizer per model keeps Adam state aligned even though each
+        // join set touches a different subset of the local models.
+        let mut opts: Vec<Adam> = self
+            .backend
+            .nets()
+            .iter()
+            .map(|_| Adam::new(cfg.finetune_lr))
+            .collect();
+        for _ in 0..cfg.finetune_epochs {
+            for idx in BatchIter::new(&mut rng, join_train.len(), 1) {
+                for set in idx.iter().filter_map(|&i| join_train.get(i)) {
+                    if let Some(x) = self.set_inputs(queries, &set.query_ids, set.tau) {
+                        let nets = self.backend.nets_mut();
+                        finetune_step(
+                            nets,
+                            &mut opts,
+                            &x,
+                            set.card,
+                            &loss_fn,
+                            threads,
+                            through_cap,
+                        );
                     }
                 }
             }
         }
     }
 
-    /// Batched join estimate: one sum-pooled head evaluation per (selected)
-    /// segment, as in Fig. 6. Immutable — runs on the pooled inference path
-    /// so a trained join model can be shared across serving threads.
+    /// Batched join estimate (Fig. 6): one sum-pooled output-module run per
+    /// model that any member routes to. Immutable — runs on the inference
+    /// path, so a trained join model can be shared across serving threads.
     pub fn estimate_join_batched(
         &self,
         queries: &VectorData,
         member_ids: &[usize],
         tau: f32,
     ) -> f32 {
-        match &self.backend {
-            JoinBackend::GlobalLocal(gl) => gl_join_infer(gl, queries, member_ids, tau),
-            JoinBackend::Single(qes) => single_join_infer(qes, queries, member_ids, tau),
+        let Some(x) = self.set_inputs(queries, member_ids, tau) else {
+            return 0.0;
+        };
+        cardest_nn::scratch::with_thread_scratch(|scratch| {
+            let mut total = 0.0f32;
+            for (net, group) in self.backend.nets().iter().zip(&x.groups) {
+                if !group.routed.is_empty() {
+                    let o = pooled_infer(net, &x, &group.routed, scratch);
+                    total += decode_log_card(o, group.cap());
+                }
+            }
+            total
+        })
+    }
+
+    /// Assembles the pooled pass's inputs for one join set: the member rows
+    /// and, per model, the members routed to it. `None` for an empty set,
+    /// which has no pairs.
+    ///
+    /// GLJoin and GLJoin+ route each member with the global model (the
+    /// indicating matrix `M` of mask-based routing; without a global model
+    /// every member reaches every segment), and a segment holds at most
+    /// `|D_seg|` pairs per routed member. CNNJoin routes every member to
+    /// its one model over `x_D`, at most `|D|` pairs each.
+    pub(crate) fn set_inputs(
+        &self,
+        queries: &VectorData,
+        member_ids: &[usize],
+        tau: f32,
+    ) -> Option<SetInputs> {
+        if member_ids.is_empty() {
+            return None;
         }
+        let m = member_ids.len();
+        let inputs = match &self.backend {
+            JoinBackend::GlobalLocal(gl) => {
+                let batch: Vec<(VectorView<'_>, f32)> =
+                    member_ids.iter().map(|&q| (queries.view(q), tau)).collect();
+                let BatchInputs { xq, xcd, xt, aux } = gl.batch_inputs(&batch);
+                let segmentation = gl.segmentation();
+                let mut groups: Vec<Group> = (0..gl.n_segments())
+                    .map(|seg| Group {
+                        routed: Vec::new(),
+                        per_member: segmentation.members(seg).len(),
+                    })
+                    .collect();
+                let mask = match gl.global() {
+                    Some(g) => g.select_batch(&xq, &vec![tau; m], &xcd),
+                    None => vec![vec![true; groups.len()]; m],
+                };
+                for (r, row) in mask.iter().enumerate() {
+                    for (group, _) in groups.iter_mut().zip(row).filter(|(_, &sel)| sel) {
+                        group.routed.push(r);
+                    }
+                }
+                SetInputs {
+                    xq,
+                    xt: Matrix::from_row(xt.row(0)),
+                    aux,
+                    groups,
+                }
+            }
+            JoinBackend::Single(qes) => {
+                let dim = queries.dim();
+                let mut xq = Matrix::zeros(m, dim);
+                let mut xd = Matrix::zeros(m, qes.samples().len());
+                let mut buf = Vec::with_capacity(dim);
+                for (r, &qid) in member_ids.iter().enumerate() {
+                    let view = queries.view(qid);
+                    view.write_dense(&mut buf);
+                    xq.row_mut(r).copy_from_slice(&buf);
+                    qes.sample_distances_into(view, xd.row_mut(r));
+                }
+                SetInputs {
+                    xq,
+                    xt: Matrix::from_row(&[tau]),
+                    aux: xd,
+                    groups: vec![Group {
+                        routed: (0..m).collect(),
+                        per_member: qes.n_data(),
+                    }],
+                }
+            }
+        };
+        Some(inputs)
     }
 
     /// The underlying global-local model (None for CNNJoin).
@@ -233,14 +338,14 @@ impl CardinalityEstimator for JoinEstimator {
     }
 
     /// Point estimates fall back to a singleton join set.
-    fn estimate(&self, q: cardest_data::vector::VectorView<'_>, tau: f32) -> f32 {
+    fn estimate(&self, q: VectorView<'_>, tau: f32) -> f32 {
         match &self.backend {
             JoinBackend::GlobalLocal(gl) => gl.estimate(q, tau),
             JoinBackend::Single(qes) => qes.estimate(q, tau),
         }
     }
 
-    fn estimate_batch(&self, queries: &[(cardest_data::vector::VectorView<'_>, f32)]) -> Vec<f32> {
+    fn estimate_batch(&self, queries: &[(VectorView<'_>, f32)]) -> Vec<f32> {
         match &self.backend {
             JoinBackend::GlobalLocal(gl) => gl.estimate_batch(queries),
             JoinBackend::Single(qes) => qes.estimate_batch(queries),
@@ -273,339 +378,142 @@ impl CardinalityEstimator for JoinEstimator {
     }
 }
 
-/// Member feature matrices `x_q` / aux and the indicating matrix `M`
-/// (mask-based routing) for one join set — shared by the inference and
-/// fine-tuning passes. The overlap features use the model's trained radii,
-/// as serving does. Without a global model every query routes to every
-/// segment.
-pub(crate) fn join_features(
-    gl: &GlEstimator,
-    queries: &VectorData,
-    member_ids: &[usize],
-    tau: f32,
-) -> (Matrix, Matrix, Vec<Vec<bool>>) {
-    let segmentation = gl.segmentation();
-    let n_segments = segmentation.n_segments();
-    let dim = queries.dim();
-    let mut xq = Matrix::zeros(member_ids.len(), dim);
-    let mut xc = Matrix::zeros(member_ids.len(), n_segments);
-    let mut aux = Matrix::zeros(member_ids.len(), 2 * n_segments);
-    let mut buf = Vec::with_capacity(dim);
-    for (r, &qid) in member_ids.iter().enumerate() {
-        let view = queries.view(qid);
-        view.write_dense(&mut buf);
-        xq.row_mut(r).copy_from_slice(&buf);
-        let dists = segmentation.centroid_distances(view);
-        aux.row_mut(r)
-            .copy_from_slice(&crate::gl::aux_features(&dists, gl.radii(), tau));
-        xc.row_mut(r).copy_from_slice(&dists);
+/// One join set as inputs of the three branches: each member's query row
+/// `x_q` and third-branch row (the overlap features of a local model, or
+/// CNNJoin's sample distances `x_D`), the one τ row, and one [`Group`] per
+/// model.
+pub(crate) struct SetInputs {
+    pub(crate) xq: Matrix,
+    pub(crate) xt: Matrix,
+    pub(crate) aux: Matrix,
+    groups: Vec<Group>,
+}
+
+/// The members routed to one model (a column of `Mᵀ`, ascending) and the
+/// most pairs one member can add there.
+struct Group {
+    routed: Vec<usize>,
+    per_member: usize,
+}
+
+impl Group {
+    /// The trivial bound on the group's pairs. It guards against log-space
+    /// extrapolation blowups, as on the search path.
+    fn cap(&self) -> f32 {
+        (self.per_member * self.routed.len()) as f32
     }
-    let taus = vec![tau; member_ids.len()];
-    let mask: Vec<Vec<bool>> = match gl.global() {
-        Some(g) => g.select_batch(&xq, &taus, &xc),
-        None => vec![vec![true; n_segments]; member_ids.len()],
-    };
-    (xq, aux, mask)
 }
 
-/// Immutable forward pass of the global-local join model (Fig. 6) on the
-/// pooled inference path. Mirrors [`gl_join_forward`] without touching the
-/// training caches.
-fn gl_join_infer(gl: &GlEstimator, queries: &VectorData, member_ids: &[usize], tau: f32) -> f32 {
-    let tau_scale = gl.tau_scale();
-    let segmentation = gl.segmentation();
-    let (xq, aux, mask) = join_features(gl, queries, member_ids, tau);
-    cardest_nn::scratch::with_thread_scratch(|scratch| {
-        let mut total = 0.0f32;
-        for (seg, local) in gl.locals().iter().enumerate() {
-            let routed: Vec<usize> = (0..member_ids.len()).filter(|&r| mask[r][seg]).collect();
-            if routed.is_empty() {
-                continue;
-            }
-            let o = pooled_head_infer(local, &xq, &aux, &routed, tau, tau_scale, scratch);
-            let cap = (segmentation.members(seg).len() * routed.len()) as f32;
-            total += decode_log_card(o, cap);
-        }
-        total
-    })
-}
-
-/// Immutable counterpart of [`pooled_head_forward`]: sum-pooled embeddings
-/// for the routed rows, one head evaluation, no cache writes.
-#[allow(clippy::too_many_arguments)]
-fn pooled_head_infer(
-    local: &BranchNet,
-    xq: &Matrix,
-    aux: &Matrix,
-    routed: &[usize],
-    tau: f32,
-    tau_scale: f32,
-    scratch: &mut cardest_nn::Scratch,
-) -> f32 {
-    let xq_routed = xq.gather_rows(routed);
-    let xc_routed = aux.gather_rows(routed);
-    let eq = local.infer_branch(0, &xq_routed, scratch);
+/// The sum-pooled pass of one model over its routed members (Fig. 6):
+/// embed their query and third-branch rows, sum-pool each, and run the
+/// output module once on `z_q ⊕ z_τ ⊕ z_aux`. Returns the raw `ln card`
+/// output. Immutable, with temporaries from `scratch`.
+fn pooled_infer(net: &BranchNet, x: &SetInputs, routed: &[usize], scratch: &mut Scratch) -> f32 {
+    let eq = net.infer_branch(0, &x.xq.gather_rows(routed), scratch);
     let zq = eq.sum_rows();
     scratch.recycle(eq);
-    let xt = Matrix::from_row(&tau_features(tau, tau_scale));
-    let zt = local.infer_branch(1, &xt, scratch);
-    let ec = local.infer_branch(2, &xc_routed, scratch);
-    let zc = ec.sum_rows();
-    scratch.recycle(ec);
-    let concat = Matrix::hconcat(&[&zq, &zt, &zc]);
-    let out = local.infer_head(&concat, scratch);
+    let zt = net.infer_branch(1, &x.xt, scratch);
+    let ea = net.infer_branch(2, &x.aux.gather_rows(routed), scratch);
+    let za = ea.sum_rows();
+    scratch.recycle(ea);
+    let out = net.infer_head(&Matrix::hconcat(&[&zq, &zt, &za]), scratch);
     let o = out.get(0, 0);
     scratch.recycle(zt);
     scratch.recycle(out);
     o
 }
 
-/// Immutable forward pass of the CNNJoin model: sum-pool query and
-/// sample-distance embeddings over all members, one head evaluation.
-fn single_join_infer(
-    qes: &QesEstimator,
-    queries: &VectorData,
-    member_ids: &[usize],
-    tau: f32,
-) -> f32 {
-    let (xq, xd) = single_join_features(qes, queries, member_ids);
-    let net = qes.net();
-    cardest_nn::scratch::with_thread_scratch(|scratch| {
-        let eq = net.infer_branch(0, &xq, scratch);
-        let zq = eq.sum_rows();
-        scratch.recycle(eq);
-        let zt = net.infer_branch(1, &Matrix::from_row(&[tau]), scratch);
-        let ed = net.infer_branch(2, &xd, scratch);
-        let zd = ed.sum_rows();
-        scratch.recycle(ed);
-        let concat = Matrix::hconcat(&[&zq, &zt, &zd]);
-        let out = net.infer_head(&concat, scratch);
-        let o = out.get(0, 0);
-        scratch.recycle(zt);
-        scratch.recycle(out);
-        // Cap at the trivial bound |Q|·|D|.
-        let cap = (member_ids.len() * qes.n_data()) as f32;
-        decode_log_card(o, cap)
-    })
+/// [`pooled_infer`] on the training path: the same math, caching what
+/// [`pooled_backward`] needs.
+fn pooled_forward(net: &mut BranchNet, x: &SetInputs, routed: &[usize]) -> f32 {
+    let zq = net.forward_branch(0, &x.xq.gather_rows(routed)).sum_rows();
+    let zt = net.forward_branch(1, &x.xt);
+    let za = net.forward_branch(2, &x.aux.gather_rows(routed)).sum_rows();
+    net.forward_head(&Matrix::hconcat(&[&zq, &zt, &za]))
+        .get(0, 0)
 }
 
-/// Member query matrix `x_q` and sample-distance matrix `x_D` for CNNJoin.
-fn single_join_features(
-    qes: &QesEstimator,
-    queries: &VectorData,
-    member_ids: &[usize],
-) -> (Matrix, Matrix) {
-    let dim = queries.dim();
-    let mut xq = Matrix::zeros(member_ids.len(), dim);
-    let mut xd = Matrix::zeros(member_ids.len(), qes.samples().len());
-    let mut buf = Vec::with_capacity(dim);
-    for (r, &qid) in member_ids.iter().enumerate() {
-        let view = queries.view(qid);
-        view.write_dense(&mut buf);
-        xq.row_mut(r).copy_from_slice(&buf);
-        qes.sample_distances_into(view, xd.row_mut(r));
-    }
-    (xq, xd)
-}
-
-/// Forward pass of the global-local join model. Returns the total
-/// estimate plus, per segment, the routed member rows and the head output
-/// (`ln card`), so the fine-tuning step can backprop through the same
-/// pass.
-/// Per-segment record of a training-time join forward pass:
-/// `(segment, routed member rows, raw prediction, capped contribution)`.
-type SegmentForward = (usize, Vec<usize>, f32, f32);
-
-fn gl_join_forward(
-    gl: &mut GlEstimator,
-    queries: &VectorData,
-    member_ids: &[usize],
-    tau: f32,
-    threads: usize,
-) -> (f32, Vec<SegmentForward>) {
-    let tau_scale = gl.tau_scale();
-    let (xq, aux, mask) = join_features(gl, queries, member_ids, tau);
-    let (locals, _, segmentation) = gl.parts_mut();
-
-    // Mᵀ rows per segment; segments with no routed members drop out before
-    // the fan so workers never see empty jobs. The routed count doubles as
-    // the scheduling weight (forward cost is linear in it).
-    let mut jobs = Vec::new();
-    for (seg, local) in locals.iter_mut().enumerate() {
-        let routed: Vec<usize> = (0..member_ids.len()).filter(|&r| mask[r][seg]).collect();
-        if !routed.is_empty() {
-            let weight = routed.len();
-            jobs.push((seg, (local, routed), weight));
-        }
-    }
-    let results = fan_exclusive(jobs, threads, |_seg, (local, routed): (_, Vec<usize>)| {
-        let o = pooled_head_forward(local, &xq, &aux, &routed, tau, tau_scale);
-        (o, routed)
-    });
-
-    // Reduce in ascending segment order so the f32 total is bit-identical
-    // for every thread count (and to the original sequential loop).
-    let mut total = 0.0f32;
-    let mut per_segment = Vec::new();
-    for (seg, (o, routed)) in results {
-        // A segment cannot contribute more than |D[seg]| pairs per routed
-        // member; the cap guards against log-space extrapolation blowups
-        // (same rationale as the search path).
-        let cap = (segmentation.members(seg).len() * routed.len()) as f32;
-        let contribution = decode_log_card(o, cap);
-        total += contribution;
-        per_segment.push((seg, routed, o, contribution));
-    }
-    (total, per_segment)
-}
-
-/// Runs one local model with sum-pooled query/centroid embeddings over the
-/// routed member rows; returns the head output (`ln card` of the segment).
-fn pooled_head_forward(
-    local: &mut BranchNet,
-    xq: &Matrix,
-    aux: &Matrix,
-    routed: &[usize],
-    tau: f32,
-    tau_scale: f32,
-) -> f32 {
-    let xq_routed = xq.gather_rows(routed);
-    let xc_routed = aux.gather_rows(routed);
-    let zq = local.forward_branch(0, &xq_routed).sum_rows();
-    let zt = {
-        let xt = Matrix::from_row(&tau_features(tau, tau_scale));
-        local.forward_branch(1, &xt)
-    };
-    let zc = local.forward_branch(2, &xc_routed).sum_rows();
-    let concat = Matrix::hconcat(&[&zq, &zt, &zc]);
-    local.forward_head(&concat).get(0, 0)
-}
-
-/// Backprop for one segment of the join model, mirroring
-/// [`pooled_head_forward`] (which must have been the model's most recent
-/// forward pass).
-fn pooled_head_backward(local: &mut BranchNet, routed_len: usize, grad_out: f32) {
-    let g = Matrix::from_row(&[grad_out]);
-    let gconcat = local.backward_head(&g);
-    let widths = local.branch_out_dims().to_vec();
-    let parts = gconcat.hsplit(&widths);
-    // Sum pooling distributes the gradient identically to every member row.
-    let expand = |m: &Matrix, rows: usize| {
-        let mut out = Matrix::zeros(rows, m.cols());
-        for r in 0..rows {
-            out.row_mut(r).copy_from_slice(m.row(0));
-        }
-        out
-    };
-    local.backward_branch(0, &expand(&parts[0], routed_len));
-    local.backward_branch(1, &parts[1]);
-    local.backward_branch(2, &expand(&parts[2], routed_len));
-}
-
-/// One fine-tuning step of the global-local join model on one join set.
-// The slot-take `expect`s encode a real invariant — each segment is
-// routed at most once per step — and a violation must abort training
-// rather than silently corrupt two jobs' exclusive borrows.
-#[allow(clippy::expect_used)]
-fn finetune_gl_step(
-    gl: &mut GlEstimator,
-    queries: &VectorData,
-    set: &JoinSet,
-    loss_fn: &HybridLoss,
-    opts: &mut [Adam],
-    threads: usize,
-) {
-    let (total, per_segment) = gl_join_forward(gl, queries, &set.query_ids, set.tau, threads);
-    if per_segment.is_empty() {
+/// Back-propagates `grad_out` (d loss / d output) through the most recent
+/// [`pooled_forward`] of `net` over `members` routed rows.
+fn pooled_backward(net: &mut BranchNet, members: usize, grad_out: f32) {
+    let gconcat = net.backward_head(&Matrix::from_row(&[grad_out]));
+    let [gq, gt, ga] = &gconcat.hsplit(net.branch_out_dims())[..] else {
         return;
-    }
-    let pred_log = (total.max(1e-3)).ln();
-    let (_, grad) = loss_fn.eval(&[pred_log], &[set.card]);
-    let g_total = grad[0] / total.max(1e-3);
-    // d total / d o_i = exp(o_i) while the cap is inactive (the capped
-    // branch has zero derivative); each local's forward caches are still
-    // those of gl_join_forward, so its backward sees matching activations.
-    //
-    // Each touched segment owns its net and optimizer, so backward + Adam
-    // step fan out with no cross-segment state; slot-take turns the two
-    // slices into per-job exclusive borrows.
-    let locals = gl.locals_mut();
-    let mut slots: Vec<Option<&mut BranchNet>> = locals.iter_mut().map(Some).collect();
-    let mut opt_slots: Vec<Option<&mut Adam>> = opts.iter_mut().map(Some).collect();
-    let mut jobs = Vec::new();
-    for &(seg, ref routed, o, contribution) in &per_segment {
-        let uncapped = decode_log_card(o, f32::INFINITY);
-        if contribution < uncapped {
-            continue; // cap active: no gradient flows
-        }
-        let g_o = g_total * uncapped;
-        // cardest-lint: allow(serving-panic-reachability): the routing pass de-duplicates segments; a second take would alias a local model
-        let local = slots[seg].take().expect("segment routed at most once");
-        // cardest-lint: allow(serving-panic-reachability): the routing pass de-duplicates segments; a second take would alias a local model
-        let opt = opt_slots[seg].take().expect("segment routed at most once");
-        jobs.push((seg, (local, opt, routed.len(), g_o), routed.len()));
-    }
+    };
+    // Sum pooling hands every member row the pooled gradient.
+    let expand = |g: &Matrix| Matrix::from_rows(&vec![g.row(0); members]);
+    net.backward_branch(0, &expand(gq));
+    net.backward_branch(1, gt);
+    net.backward_branch(2, &expand(ga));
+}
+
+/// One fine-tuning step on one join set: every routed model's pooled
+/// forward, the hybrid loss on the summed estimate, then a pooled backward
+/// and an Adam step for each model the gradient reaches. Models fan out
+/// across `threads`, and the estimate is summed in ascending model order,
+/// so the step is bit-identical for every thread count.
+///
+/// With `through_cap` (CNNJoin: one model whose output is the whole
+/// estimate, so d ln total / d o = 1) the loss gradient reaches the output
+/// even through an active cap. Otherwise (the GL locals) d total / d o =
+/// exp(o) while a model's cap is inactive, and an active cap passes no
+/// gradient.
+fn finetune_step(
+    nets: &mut [BranchNet],
+    opts: &mut [Adam],
+    x: &SetInputs,
+    card: f32,
+    loss_fn: &HybridLoss,
+    threads: usize,
+    through_cap: bool,
+) {
+    // The routed count is the scheduling weight: a pass is linear in it.
+    let jobs: Vec<_> = nets
+        .iter_mut()
+        .zip(opts.iter_mut())
+        .zip(&x.groups)
+        .enumerate()
+        .filter(|(_, (_, group))| !group.routed.is_empty())
+        .map(|(i, ((net, opt), group))| (i, (net, opt, group), group.routed.len()))
+        .collect();
+    // Each forward hands its model and optimizer back for the backward fan.
+    let passes = fan_exclusive(
+        jobs,
+        threads,
+        |_, (net, opt, group): (&mut BranchNet, &mut Adam, &Group)| {
+            let o = pooled_forward(net, x, &group.routed);
+            let contribution = decode_log_card(o, group.cap());
+            (net, opt, group.routed.len(), o, contribution)
+        },
+    );
+    let total = passes.iter().fold(0.0f32, |t, (_, (.., c))| t + c);
+    let pred_log = total.max(1e-3).ln();
+    let (_, grad) = loss_fn.eval(&[pred_log], &[card]);
+    let [g] = grad[..] else {
+        return;
+    };
+    let g_total = g / total.max(1e-3);
+    let jobs: Vec<_> = passes
+        .into_iter()
+        .filter_map(|(i, (net, opt, members, o, contribution))| {
+            let g_o = if through_cap {
+                g
+            } else {
+                let uncapped = decode_log_card(o, f32::INFINITY);
+                (contribution >= uncapped).then_some(g_total * uncapped)?
+            };
+            Some((i, (net, opt, members, g_o), members))
+        })
+        .collect();
     fan_exclusive(
         jobs,
         threads,
-        |_seg, (local, opt, routed_len, g_o): (_, _, _, f32)| {
-            pooled_head_backward(local, routed_len, g_o);
-            opt.step(&mut local.params_mut());
-            local.apply_constraints();
+        |_, (net, opt, members, g_o): (&mut BranchNet, &mut Adam, usize, f32)| {
+            pooled_backward(net, members, g_o);
+            opt.step(&mut net.params_mut());
+            net.apply_constraints();
         },
     );
-}
-
-/// Forward pass of the CNNJoin model: sum-pool query and sample-distance
-/// embeddings over all members, one head evaluation.
-fn single_join_forward(
-    qes: &mut QesEstimator,
-    queries: &VectorData,
-    member_ids: &[usize],
-    tau: f32,
-) -> (f32, usize) {
-    let (xq, xd) = single_join_features(qes, queries, member_ids);
-    let net = qes.net_mut();
-    let zq = net.forward_branch(0, &xq).sum_rows();
-    let zt = net.forward_branch(1, &Matrix::from_row(&[tau]));
-    let zd = net.forward_branch(2, &xd).sum_rows();
-    let concat = Matrix::hconcat(&[&zq, &zt, &zd]);
-    let o = net.forward_head(&concat).get(0, 0);
-    // Cap at the trivial bound |Q|·|D|.
-    let cap = (member_ids.len() * qes.n_data()) as f32;
-    (decode_log_card(o, cap), member_ids.len())
-}
-
-/// One fine-tuning step of CNNJoin on one join set.
-fn finetune_single_step(
-    qes: &mut QesEstimator,
-    queries: &VectorData,
-    set: &JoinSet,
-    loss_fn: &HybridLoss,
-    opt: &mut Adam,
-) {
-    let (total, n_members) = single_join_forward(qes, queries, &set.query_ids, set.tau);
-    let pred_log = total.max(1e-3).ln();
-    let (_, grad) = loss_fn.eval(&[pred_log], &[set.card]);
-    // total = exp(o) → d pred_log/d o = 1.
-    let g_o = grad[0];
-    let net = qes.net_mut();
-    let g = Matrix::from_row(&[g_o]);
-    let gconcat = net.backward_head(&g);
-    let widths = net.branch_out_dims().to_vec();
-    let parts = gconcat.hsplit(&widths);
-    let expand = |m: &Matrix, rows: usize| {
-        let mut out = Matrix::zeros(rows, m.cols());
-        for r in 0..rows {
-            out.row_mut(r).copy_from_slice(m.row(0));
-        }
-        out
-    };
-    net.backward_branch(0, &expand(&parts[0], n_members));
-    net.backward_branch(1, &parts[1]);
-    net.backward_branch(2, &expand(&parts[2], n_members));
-    opt.step(&mut net.params_mut());
-    net.apply_constraints();
 }
 
 #[cfg(test)]
@@ -615,6 +523,7 @@ mod tests {
     use cardest_data::workload::{JoinWorkload, SearchWorkload};
     use cardest_nn::metrics::ErrorSummary;
     use cardest_nn::trainer::TrainConfig;
+    use rand::Rng;
 
     fn tiny(seed: u64) -> (VectorData, SearchWorkload, JoinWorkload, DatasetSpec) {
         let spec = DatasetSpec {
@@ -716,5 +625,145 @@ mod tests {
         let e = est.estimate_join_batched(&w.queries, &set.query_ids, set.tau);
         assert!(e.is_finite() && e >= 0.0);
         assert_eq!(est.name(), "CNNJoin");
+        // Over one member the pooled pass is QES's own forward.
+        let q = set.query_ids[0];
+        let one = est.estimate_join_batched(&w.queries, &[q], set.tau);
+        let point = est.estimate(w.queries.view(q), set.tau);
+        assert!(
+            (one - point).abs() <= 1e-6 * point.abs(),
+            "one-member join {one} vs point estimate {point}"
+        );
+        // An empty set has no pairs.
+        assert_eq!(est.estimate_join_batched(&w.queries, &[], set.tau), 0.0);
+    }
+
+    /// A random 3-member set for `net`, every member routed to one model
+    /// that holds `per_member` pairs per member.
+    fn random_set(net: &BranchNet, tau_row: &[f32], per_member: usize) -> SetInputs {
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut random = |cols: usize| {
+            let v = (0..3 * cols).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+            Matrix::from_vec(3, cols, v)
+        };
+        SetInputs {
+            xq: random(net.in_dims()[0]),
+            xt: Matrix::from_row(tau_row),
+            aux: random(net.in_dims()[2]),
+            groups: vec![Group {
+                routed: vec![0, 1, 2],
+                per_member,
+            }],
+        }
+    }
+
+    /// Checks [`pooled_backward`]'s parameter gradients against central
+    /// differences of [`pooled_forward`] over a 3-member set.
+    fn assert_pooled_gradients_match(mut net: BranchNet, tau_row: &[f32]) {
+        let x = random_set(&net, tau_row, 1);
+        let routed = [0, 1, 2];
+        net.zero_grads();
+        pooled_forward(&mut net, &x, &routed);
+        pooled_backward(&mut net, routed.len(), 1.0);
+        let analytic: Vec<Vec<f32>> = net.params_mut().iter().map(|p| p.grads.to_vec()).collect();
+        let params = net.snapshot_params();
+        let h = 3e-4;
+        let mut checked = 0;
+        for (t, grads) in analytic.iter().enumerate() {
+            for i in (0..grads.len()).step_by(7) {
+                let mut at = |delta: f32| {
+                    let mut p = params.clone();
+                    p[t][i] += delta;
+                    net.restore_params(&p);
+                    pooled_forward(&mut net, &x, &routed)
+                };
+                let fd = (at(h) - at(-h)) / (2.0 * h);
+                let an = grads[i];
+                assert!(
+                    (fd - an).abs() / fd.abs().max(an.abs()).max(1.0) < 2e-2,
+                    "tensor {t}[{i}]: finite difference {fd}, backward {an}"
+                );
+                checked += 1;
+            }
+        }
+        assert!(checked > 50, "only {checked} parameters checked");
+    }
+
+    #[test]
+    fn pooled_backward_matches_finite_differences_on_a_local_model() {
+        let (dim, n_seg) = (24, 4);
+        let mut rng = StdRng::seed_from_u64(3);
+        let net = crate::arch::build_regressor(
+            &mut rng,
+            dim,
+            crate::arch::TAU_DIM,
+            2 * n_seg,
+            &crate::arch::QueryEmbed::default_cnn(dim, 4),
+            &crate::arch::ModelDims::default(),
+        );
+        assert_pooled_gradients_match(net, &crate::arch::tau_features(0.3, 0.5));
+    }
+
+    #[test]
+    fn pooled_backward_matches_finite_differences_on_a_qes_net() {
+        use cardest_baselines::sample_distance::SampleDistanceConfig;
+        let (dim, k) = (24, 8);
+        let mut rng = StdRng::seed_from_u64(4);
+        let net = QesConfig::default().build_net(dim, k, &mut rng);
+        assert_pooled_gradients_match(net, &[0.3]);
+    }
+
+    /// CNNJoin's pooled output over 50–100 members often starts above its
+    /// `|Q|·|D|` cap; fine-tuning must still pull it down to the label. A
+    /// GL local's active cap passes no gradient.
+    #[test]
+    fn finetuning_moves_a_capped_pooled_output_toward_the_label() {
+        use cardest_baselines::sample_distance::SampleDistanceConfig;
+        let mut rng = StdRng::seed_from_u64(6);
+        let mut net = QesConfig::default().build_net(24, 8, &mut rng);
+        // Three members, one pair each: the cap is 3 pairs. Shift the output
+        // bias so the pooled output starts 3 nats above it.
+        let x = random_set(&net, &[0.3], 1);
+        let routed = [0, 1, 2];
+        let cap = 3.0f32;
+        let o = pooled_forward(&mut net, &x, &routed);
+        let mut params = net.snapshot_params();
+        if let Some(bias) = params.last_mut() {
+            bias[0] += cap.ln() + 3.0 - o;
+        }
+        net.restore_params(&params);
+        let start = pooled_forward(&mut net, &x, &routed);
+        assert_eq!(
+            decode_log_card(start, cap),
+            cap,
+            "output {start} is not capped"
+        );
+        let (label, loss) = (1.0, HybridLoss::default());
+
+        let mut local = [net.clone()];
+        finetune_step(
+            &mut local,
+            &mut [Adam::new(1e-2)],
+            &x,
+            label,
+            &loss,
+            1,
+            false,
+        );
+        assert_eq!(local[0].snapshot_params(), params);
+
+        let mut nets = [net];
+        let mut opts = [Adam::new(1e-2)];
+        let mut last = start;
+        for step in 1..=100 {
+            finetune_step(&mut nets, &mut opts, &x, label, &loss, 1, true);
+            let [net] = &mut nets;
+            let o = pooled_forward(net, &x, &routed);
+            assert!(o < last, "step {step}: output {o} did not fall from {last}");
+            last = o;
+            if decode_log_card(o, cap) < cap {
+                return;
+            }
+        }
+        panic!("the estimate never left its cap: output {start} -> {last}");
     }
 }

@@ -351,7 +351,7 @@ impl UpdatableGl {
 mod tests {
     use super::*;
     use crate::gl::{GlConfig, GlVariant};
-    use crate::join::join_features;
+    use crate::join::{JoinConfig, JoinEstimator, JoinVariant};
     use crate::tuning::TuningConfig;
     use cardest_baselines::traits::{CardinalityEstimator, TrainingSet};
     use cardest_data::paper::{DatasetSpec, PaperDataset};
@@ -523,14 +523,22 @@ mod tests {
         let n = upd.gl.n_segments();
         let (xq, xc) = build_feature_caches(&upd.queries, upd.gl.segmentation());
         let inputs = upd.gl.sample_inputs(&upd.train, &xq, &xc);
+        let join = JoinEstimator::from_search_model(
+            upd.gl.clone(),
+            &upd.queries,
+            &[],
+            &JoinConfig::for_variant(JoinVariant::GlJoin),
+        );
         for j in (0..upd.train.len()).step_by(7) {
             let s = upd.train[j];
             let served = upd.gl.batch_inputs(&[(upd.queries.view(s.query), s.tau)]);
             let tuned = inputs.inputs(&[j]);
-            let (join_xq, join_aux, _) = join_features(&upd.gl, &upd.queries, &[s.query], s.tau);
+            let joined = join.set_inputs(&upd.queries, &[s.query], s.tau).unwrap();
             assert_eq!(tuned[0].row(0), served.xq.row(0));
-            assert_eq!(join_xq.row(0), served.xq.row(0));
+            assert_eq!(joined.xq.row(0), served.xq.row(0));
             assert_eq!(tuned[1].row(0), served.xt.row(0));
+            assert_eq!(joined.xt.row(0), served.xt.row(0));
+            assert_eq!(joined.aux.row(0), served.aux.row(0));
             // Serving computes L2 centroid distances through dot products,
             // so the rows agree up to rounding — far below the radius
             // growth that a grown-radius overlap column would show.
@@ -538,10 +546,6 @@ mod tests {
                 let want = served.aux.get(0, c);
                 assert!(
                     (tuned[2].get(0, c) - want).abs() < 1e-3,
-                    "sample {j} col {c}"
-                );
-                assert!(
-                    (join_aux.get(0, c) - want).abs() < 1e-3,
                     "sample {j} col {c}"
                 );
             }

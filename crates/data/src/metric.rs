@@ -27,7 +27,7 @@
 //! functions of the differing-bit count), and mixed pairs expand the binary
 //! side into a reused thread-local buffer before taking the dense path
 //! (every metric here is symmetric, so the operand order never matters).
-//! The batched entry points ([`Metric::distance_many`],
+//! The batched entry points ([`Metric::distance_many_into`],
 //! [`Metric::distance_to_centroids`], [`Metric::count_within`]) hoist that
 //! dispatch out of the per-row loop and walk contiguous row-major storage.
 //!
@@ -91,24 +91,17 @@ impl Metric {
         self.distance(a, VectorView::Dense(centroid))
     }
 
-    /// Distances from one query to every row of a collection; the batched
-    /// form of [`Metric::distance`] — kernel dispatch happens once and the
-    /// row loop walks contiguous storage.
-    pub fn distance_many(self, q: VectorView<'_>, data: &VectorData) -> Vec<f32> {
-        let mut out = vec![0.0f32; data.len()];
-        self.distance_many_into(q, data, &mut out);
-        out
-    }
-
-    /// [`Metric::distance_many`] writing into a caller-owned buffer of
-    /// length `data.len()` (the allocation-free hot path for feature
+    /// Distances from one query to every row of a collection, written into
+    /// a caller-owned buffer of length `data.len()`: the batched form of
+    /// [`Metric::distance`] — kernel dispatch happens once and the row loop
+    /// walks contiguous storage (the allocation-free hot path for feature
     /// construction and ground-truth scans).
     ///
     /// # Panics
     /// Panics if `out.len() != data.len()`; debug-panics on dimension
     /// mismatch.
     pub fn distance_many_into(self, q: VectorView<'_>, data: &VectorData, out: &mut [f32]) {
-        assert_eq!(out.len(), data.len(), "distance_many output length");
+        assert_eq!(out.len(), data.len(), "distance_many_into output length");
         debug_assert!(
             data.is_empty() || q.dim() == data.dim(),
             "metric operands must share dimensionality"
@@ -489,7 +482,8 @@ mod tests {
         }
         let data = VectorData::Dense(d);
         for m in ALL_METRICS {
-            let batched = m.distance_many(VectorView::Dense(&q), &data);
+            let mut batched = vec![f32::NAN; data.len()];
+            m.distance_many_into(VectorView::Dense(&q), &data, &mut batched);
             for (i, &b) in batched.iter().enumerate() {
                 let one = m.distance(VectorView::Dense(&q), data.view(i));
                 assert_eq!(b, one, "{m:?} row {i}");

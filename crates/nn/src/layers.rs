@@ -641,100 +641,6 @@ impl ShiftSigmoid {
     }
 }
 
-/// Inverted dropout: during training each activation is zeroed with
-/// probability `p` and survivors are scaled by `1/(1−p)`, so evaluation
-/// needs no rescaling. Exp-9 credits part of GL+'s speed to "the dropout
-/// for DNN" — only a part of the parameters participating per query.
-///
-/// The layer is a no-op until [`Dropout::set_training`] turns training
-/// mode on; estimators run inference with the mask disabled.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Dropout {
-    dim: usize,
-    p: f32,
-    #[serde(skip)]
-    training: bool,
-    /// Deterministic per-forward mask seed, advanced each call.
-    seed: u64,
-    #[serde(skip)]
-    cache_mask: Option<Vec<f32>>,
-}
-
-impl Dropout {
-    pub fn new(dim: usize, p: f32, seed: u64) -> Self {
-        assert!(
-            (0.0..1.0).contains(&p),
-            "dropout probability must be in [0, 1)"
-        );
-        Dropout {
-            dim,
-            p,
-            training: false,
-            seed,
-            cache_mask: None,
-        }
-    }
-
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Enables/disables the training-time mask.
-    pub fn set_training(&mut self, training: bool) {
-        self.training = training;
-    }
-
-    fn forward(&mut self, x: &Matrix) -> Matrix {
-        assert_eq!(x.cols(), self.dim, "dropout input width mismatch");
-        // cardest-lint: allow(float-total-order): p == 0.0 is an exact sentinel for "dropout disabled", set only from the literal
-        if !self.training || self.p == 0.0 {
-            self.cache_mask = None;
-            return x.clone();
-        }
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        self.seed = self.seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let scale = 1.0 / (1.0 - self.p);
-        let mask: Vec<f32> = (0..x.as_slice().len())
-            .map(|_| {
-                if rng.gen::<f32>() < self.p {
-                    0.0
-                } else {
-                    scale
-                }
-            })
-            .collect();
-        let mut y = x.clone();
-        for (v, m) in y.as_mut_slice().iter_mut().zip(&mask) {
-            *v *= m;
-        }
-        self.cache_mask = Some(mask);
-        y
-    }
-
-    /// Immutable forward pass: inference-mode dropout is the identity.
-    fn infer(&self, x: &Matrix, scratch: &mut Scratch) -> Matrix {
-        assert_eq!(x.cols(), self.dim, "dropout input width mismatch");
-        let mut y = scratch.take(x.rows(), x.cols());
-        y.as_mut_slice().copy_from_slice(x.as_slice());
-        y
-    }
-
-    fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        match &self.cache_mask {
-            None => grad_out.clone(),
-            Some(mask) => {
-                let mut g = grad_out.clone();
-                for (v, m) in g.as_mut_slice().iter_mut().zip(mask) {
-                    *v *= m;
-                }
-                g
-            }
-        }
-    }
-}
-
 /// A network layer. Enum-based so models are serde-serializable and layer
 /// dispatch is static.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -742,7 +648,6 @@ pub enum Layer {
     Dense(Dense),
     Conv1d(Conv1d),
     ShiftSigmoid(ShiftSigmoid),
-    Dropout(Dropout),
 }
 
 impl Layer {
@@ -752,20 +657,17 @@ impl Layer {
             Layer::Dense(l) => l.forward(x),
             Layer::Conv1d(l) => l.forward(x),
             Layer::ShiftSigmoid(l) => l.forward(x),
-            Layer::Dropout(l) => l.forward(x),
         }
     }
 
     /// Runs the layer on a batch without mutating it: the shared-model
-    /// inference path. Identical math to [`Layer::forward`] (dropout is the
-    /// identity at inference either way); temporaries are drawn from the
-    /// caller's [`Scratch`].
+    /// inference path. Identical math to [`Layer::forward`]; temporaries
+    /// are drawn from the caller's [`Scratch`].
     pub fn infer(&self, x: &Matrix, scratch: &mut Scratch) -> Matrix {
         match self {
             Layer::Dense(l) => l.infer(x, scratch),
             Layer::Conv1d(l) => l.infer(x, scratch),
             Layer::ShiftSigmoid(l) => l.infer(x, scratch),
-            Layer::Dropout(l) => l.infer(x, scratch),
         }
     }
 
@@ -776,7 +678,6 @@ impl Layer {
             Layer::Dense(l) => l.backward(grad_out),
             Layer::Conv1d(l) => l.backward(grad_out),
             Layer::ShiftSigmoid(l) => l.backward(grad_out),
-            Layer::Dropout(l) => l.backward(grad_out),
         }
     }
 
@@ -786,7 +687,6 @@ impl Layer {
             Layer::Dense(l) => l.out_dim(),
             Layer::Conv1d(l) => l.out_dim(),
             Layer::ShiftSigmoid(l) => l.dim(),
-            Layer::Dropout(l) => l.dim(),
         }
     }
 
@@ -796,7 +696,6 @@ impl Layer {
             Layer::Dense(l) => l.in_dim(),
             Layer::Conv1d(l) => l.in_dim(),
             Layer::ShiftSigmoid(l) => l.dim(),
-            Layer::Dropout(l) => l.dim(),
         }
     }
 
@@ -829,7 +728,6 @@ impl Layer {
                     grads: &mut l.gt,
                 }]
             }
-            Layer::Dropout(_) => Vec::new(),
         }
     }
 
@@ -841,7 +739,6 @@ impl Layer {
             Layer::Dense(l) => vec![l.w.as_slice(), &l.b],
             Layer::Conv1d(l) => vec![&l.w, &l.b],
             Layer::ShiftSigmoid(l) => vec![&l.t],
-            Layer::Dropout(_) => Vec::new(),
         }
     }
 
@@ -851,7 +748,6 @@ impl Layer {
             Layer::Dense(l) => l.w.as_slice().len() + l.b.len(),
             Layer::Conv1d(l) => l.w.len() + l.b.len(),
             Layer::ShiftSigmoid(l) => l.t.len(),
-            Layer::Dropout(_) => 0,
         }
     }
 
@@ -1107,16 +1003,6 @@ mod tests {
     }
 
     #[test]
-    fn dropout_gradients_check_out_at_tight_tolerance() {
-        // Inference-mode dropout is the identity; the check still exercises
-        // its backward against finite differences like every other layer.
-        let mut rng = StdRng::seed_from_u64(34);
-        let mut l = Layer::Dropout(Dropout::new(6, 0.5, 9));
-        let x = batch(&mut rng, 3, 6);
-        grad_check_tight(&mut l, &x);
-    }
-
-    #[test]
     fn dense_gradients_check_out() {
         let mut rng = StdRng::seed_from_u64(3);
         for act in [Activation::Identity, Activation::Tanh, Activation::Sigmoid] {
@@ -1202,53 +1088,6 @@ mod tests {
     }
 
     #[test]
-    fn dropout_is_identity_at_inference() {
-        let mut rng = StdRng::seed_from_u64(10);
-        let x = batch(&mut rng, 3, 6);
-        let mut l = Dropout::new(6, 0.5, 1);
-        let y = l.forward(&x);
-        assert_eq!(y, x, "inference-mode dropout must pass through");
-        // Backward is likewise the identity.
-        let g = l.backward(&x);
-        assert_eq!(g, x);
-    }
-
-    #[test]
-    fn dropout_training_zeroes_and_rescales() {
-        let mut l = Dropout::new(64, 0.5, 2);
-        l.set_training(true);
-        let x = Matrix::from_vec(4, 64, vec![1.0; 256]);
-        let y = l.forward(&x);
-        let zeros = y.as_slice().iter().filter(|&&v| v == 0.0).count();
-        let twos = y
-            .as_slice()
-            .iter()
-            .filter(|&&v| (v - 2.0).abs() < 1e-6)
-            .count();
-        assert_eq!(zeros + twos, 256, "survivors must be scaled by 1/(1-p)");
-        assert!(
-            zeros > 64 && zeros < 192,
-            "~half the units should drop, got {zeros}"
-        );
-        // Expectation is preserved: mean stays ≈ 1.
-        let mean: f32 = y.as_slice().iter().sum::<f32>() / 256.0;
-        assert!((mean - 1.0).abs() < 0.25, "mean {mean}");
-    }
-
-    #[test]
-    fn dropout_backward_uses_the_same_mask() {
-        let mut l = Dropout::new(32, 0.3, 3);
-        l.set_training(true);
-        let x = Matrix::from_vec(2, 32, vec![1.0; 64]);
-        let y = l.forward(&x);
-        let g = l.backward(&Matrix::from_vec(2, 32, vec![1.0; 64]));
-        // Gradient is zero exactly where the activation was dropped.
-        for (yv, gv) in y.as_slice().iter().zip(g.as_slice()) {
-            assert_eq!(*yv == 0.0, *gv == 0.0);
-        }
-    }
-
-    #[test]
     fn infer_matches_forward_for_every_layer_kind() {
         let mut rng = StdRng::seed_from_u64(11);
         let spec = ConvSpec {
@@ -1263,7 +1102,6 @@ mod tests {
             Layer::Dense(Dense::new(&mut rng, 6, 4, Activation::Tanh)),
             Layer::Conv1d(Conv1d::new(&mut rng, 2, 3, spec, Activation::Relu)),
             Layer::ShiftSigmoid(ShiftSigmoid::new(6)),
-            Layer::Dropout(Dropout::new(6, 0.5, 1)),
         ];
         let mut scratch = Scratch::new();
         for layer in &mut layers {

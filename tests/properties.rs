@@ -560,7 +560,7 @@ proptest! {
         assert_matrix_close(&nt, &gemm::reference::matmul_nt(&a, &bt), "nt")?;
     }
 
-    /// `distance_many` equals per-pair `distance` for every metric on
+    /// `distance_many_into` equals per-pair `distance` for every metric on
     /// dense data — exactly, since both run the same monomorphized kernel
     /// per row.
     #[test]
@@ -576,8 +576,8 @@ proptest! {
         let q = seeded_matrix(1, dim, qseed as u64);
         let qv = VectorView::Dense(q.row(0));
         for m in cardest::data::metric::ALL_METRICS {
-            let batch = m.distance_many(qv, &data);
-            prop_assert_eq!(batch.len(), n);
+            let mut batch = vec![f32::NAN; n];
+            m.distance_many_into(qv, &data, &mut batch);
             for (i, &d) in batch.iter().enumerate() {
                 prop_assert_eq!(d, m.distance(qv, data.view(i)), "{:?} row {}", m, i);
             }
@@ -603,8 +603,8 @@ proptest! {
         let data = VectorData::Binary(bits);
         let qv = VectorView::Binary { words: qrow.row(0), dim };
         for m in cardest::data::metric::ALL_METRICS {
-            let batch = m.distance_many(qv, &data);
-            prop_assert_eq!(batch.len(), n);
+            let mut batch = vec![f32::NAN; n];
+            m.distance_many_into(qv, &data, &mut batch);
             for (i, &d) in batch.iter().enumerate() {
                 prop_assert_eq!(d, m.distance(qv, data.view(i)), "{:?} row {}", m, i);
             }
