@@ -39,7 +39,10 @@
 #                  `cardest_bench::methods::MethodConfigs::for_scale(..).gl`
 #                  (the served GL-CNN's config; `methods.rs` also holds the
 #                  QES and MLP configs), and pass `IngestService::new` its
-#                  artifact path.
+#                  artifact path;
+#                - its set-up saves the served model with
+#                  `GlEstimator::save_artifact` and records the file's
+#                  `artifact_digest` with `cardest_nn::artifact::fnv1a64`.
 #                perfbench changes only together with the benchmark
 #                contract, so a change to any of these waits for such a
 #                change instead of failing here. `--locked` holds it to

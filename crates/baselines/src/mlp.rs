@@ -145,14 +145,14 @@ impl MlpEstimator {
     pub fn save_artifact(&self, path: &std::path::Path) -> Result<(), ArtifactError> {
         let json =
             serde_json::to_string(self).map_err(|e| ArtifactError::Malformed(e.to_string()))?;
-        cardest_nn::artifact::write_atomic(path, MLP_ARTIFACT_KIND, json.as_bytes())
+        cardest_nn::artifact::write_atomic(path, MLP_ARTIFACT_KIND, &[json.as_bytes()])
     }
 
     /// Loads an artifact written by [`MlpEstimator::save_artifact`],
     /// verifying magic, format version, kind, and checksum first.
     pub fn load_artifact(path: &std::path::Path) -> Result<Self, ArtifactError> {
-        let json = cardest_nn::artifact::read_json_payload(path, MLP_ARTIFACT_KIND)?;
-        serde_json::from_str(&json).map_err(|e| ArtifactError::Malformed(e.to_string()))
+        let payload = cardest_nn::artifact::read(path, MLP_ARTIFACT_KIND)?;
+        serde_json::from_slice(&payload).map_err(|e| ArtifactError::Malformed(e.to_string()))
     }
 }
 

@@ -382,7 +382,7 @@ impl GlEstimator {
         let json = self
             .to_json()
             .map_err(|e| ArtifactError::Malformed(e.to_string()))?;
-        cardest_nn::artifact::write_atomic(path, GL_ARTIFACT_KIND, json.as_bytes())
+        cardest_nn::artifact::write_atomic(path, GL_ARTIFACT_KIND, &[json.as_bytes()])
     }
 
     /// Loads an artifact written by [`GlEstimator::save_artifact`],
@@ -390,8 +390,8 @@ impl GlEstimator {
     /// truncated, bit-flipped, or version-skewed file is a typed `Err`,
     /// never silently-wrong weights.
     pub fn load_artifact(path: &std::path::Path) -> Result<Self, ArtifactError> {
-        let json = cardest_nn::artifact::read_json_payload(path, GL_ARTIFACT_KIND)?;
-        Self::from_json(&json).map_err(|e| ArtifactError::Malformed(e.to_string()))
+        let payload = cardest_nn::artifact::read(path, GL_ARTIFACT_KIND)?;
+        serde_json::from_slice(&payload).map_err(|e| ArtifactError::Malformed(e.to_string()))
     }
 
     /// Estimate with the number of local models evaluated (Exp-9 explains

@@ -12,14 +12,42 @@
 use cardest_cluster::segmentation::Segmentation;
 use cardest_data::ground_truth::DistanceTable;
 use cardest_data::workload::SearchSample;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Error, Serialize, Value};
 
 /// Per-(sample, segment) cardinality labels for a fixed segmentation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Serializes as `{"n_segments": n, "bits": "…"}`, the cardinalities as a
+/// bit string ([`serde::f32_bits`]).
+#[derive(Debug, Clone)]
 pub struct SegmentLabels {
     n_segments: usize,
     /// `cards[sample * n_segments + segment]`.
     cards: Vec<f32>,
+}
+
+impl Serialize for SegmentLabels {
+    fn serialize(&self) -> Value {
+        Value::Map(vec![
+            ("n_segments".to_string(), self.n_segments.serialize()),
+            ("bits".to_string(), serde::f32_bits(&self.cards)),
+        ])
+    }
+}
+
+impl Deserialize for SegmentLabels {
+    fn deserialize(v: &Value) -> Result<Self, Error> {
+        let map = v.expect_map("SegmentLabels")?;
+        let n_segments: usize = serde::get_field(map, "n_segments", "SegmentLabels")?;
+        let cards = serde::f32s_from_bits(serde::get_str_field(map, "bits", "SegmentLabels")?)
+            .map_err(|e| Error::msg(format!("SegmentLabels {e}")))?;
+        // Whole rows only; with no segments, no values.
+        if cards.len().checked_rem(n_segments).unwrap_or(cards.len()) != 0 {
+            return Err(Error::msg(format!(
+                "SegmentLabels bits hold {} values, not whole rows of {n_segments}",
+                cards.len()
+            )));
+        }
+        Ok(SegmentLabels { n_segments, cards })
+    }
 }
 
 impl SegmentLabels {
@@ -132,6 +160,68 @@ mod tests {
             for i in 0..labels.n_segments() {
                 assert_eq!(labels.selected(j, i), labels.card(j, i) > 0.0);
             }
+        }
+    }
+
+    #[test]
+    fn json_round_trips_every_bit_pattern() {
+        // Signed zeros, subnormals, infinities and NaNs with distinct
+        // payloads come back bit for bit.
+        let bits = [
+            0x0000_0000u32,
+            0x8000_0000,
+            0x0000_0001,
+            0x807f_ffff,
+            0x7f80_0000,
+            0xff80_0000,
+            0x7fc0_1234,
+            0xffa0_0001,
+            0x7f80_0001,
+            0x4120_0000,
+        ];
+        let labels = SegmentLabels {
+            n_segments: 5,
+            cards: bits.map(f32::from_bits).to_vec(),
+        };
+        let json = serde_json::to_string(&labels).unwrap();
+        assert!(
+            json.starts_with(r#"{"n_segments":5,"bits":"000000008000000000000001"#),
+            "{json}"
+        );
+        let back: SegmentLabels = serde_json::from_str(&json).unwrap();
+        assert_eq!(back.n_samples(), 2);
+        let got: Vec<u32> = back.cards.iter().map(|c| c.to_bits()).collect();
+        assert_eq!(got, bits);
+        let empty: SegmentLabels = serde_json::from_str(r#"{"n_segments":0,"bits":""}"#).unwrap();
+        assert_eq!(empty.n_samples(), 0);
+    }
+
+    #[test]
+    fn json_decode_errors_are_typed() {
+        for (doc, msg) in [
+            (
+                r#"{"n_segments":2,"bits":"3f800000"}"#,
+                "SegmentLabels bits hold 1 values, not whole rows of 2",
+            ),
+            (
+                r#"{"n_segments":0,"bits":"3f800000"}"#,
+                "SegmentLabels bits hold 1 values, not whole rows of 0",
+            ),
+            (
+                r#"{"n_segments":1,"bits":"3f80000"}"#,
+                "SegmentLabels bits hold 7 bytes, not a multiple of 8",
+            ),
+            (
+                r#"{"n_segments":1,"bits":"3f80000x"}"#,
+                "SegmentLabels bits: value 0 holds a byte 0x78",
+            ),
+            (
+                r#"{"n_segments":1,"cards":[1.0]}"#,
+                "missing field `bits` for SegmentLabels",
+            ),
+        ] {
+            let err = serde_json::from_str::<SegmentLabels>(doc).expect_err(doc);
+            assert!(err.to_string().contains(msg), "{doc}: {err}");
         }
     }
 

@@ -10,33 +10,22 @@ use serde::{Deserialize, Error, Serialize, Value};
 
 /// Dense row-major `f32` vector collection (`n × dim`).
 ///
-/// Serializes as `{"dim": d, "bits": "…"}`: each value's `f32` bit
-/// pattern as 8 lowercase hex digits, most significant first, in row-major
-/// order. The encoding is exact for every value, `-0.0` and NaN payloads
-/// included, and costs 8 bytes per value.
+/// Serializes as `{"dim": d, "bits": "…"}`, the values in row-major
+/// order as a bit string ([`serde::f32_bits`]): each value's `f32` bit
+/// pattern as 8 lowercase hex digits, most significant first. The
+/// encoding is exact for every value, `-0.0` and NaN payloads included,
+/// and costs 8 bytes per value.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DenseData {
     dim: usize,
     values: Vec<f32>,
 }
 
-const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
-
 impl Serialize for DenseData {
     fn serialize(&self) -> Value {
-        let mut hex = Vec::with_capacity(8 * self.values.len());
-        for v in &self.values {
-            let bits = v.to_bits();
-            let digits: [u8; 8] =
-                std::array::from_fn(|k| HEX_DIGITS[(bits >> (28 - 4 * k)) as usize & 0xf]);
-            hex.extend_from_slice(&digits);
-        }
-        // Hex digits are ASCII, so the conversion cannot fail.
-        let hex = String::from_utf8(hex)
-            .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned());
         Value::Map(vec![
             ("dim".to_string(), self.dim.serialize()),
-            ("bits".to_string(), Value::Str(hex)),
+            ("bits".to_string(), serde::f32_bits(&self.values)),
         ])
     }
 }
@@ -45,17 +34,7 @@ impl Deserialize for DenseData {
     fn deserialize(v: &Value) -> Result<Self, Error> {
         let map = v.expect_map("DenseData")?;
         let dim: usize = serde::get_field(map, "dim", "DenseData")?;
-        // Borrowed: `get_field` would copy a string of megabytes.
-        let hex = match map.iter().find(|(k, _)| k == "bits") {
-            Some((_, Value::Str(hex))) => hex.as_bytes(),
-            Some((_, other)) => {
-                return Err(Error::msg(format!(
-                    "expected a string for DenseData bits, found {}",
-                    other.describe()
-                )))
-            }
-            None => return Err(Error::msg("missing field `bits` for DenseData")),
-        };
+        let hex = serde::get_str_field(map, "bits", "DenseData")?;
         if dim == 0 {
             return Err(Error::msg("DenseData dim must be positive"));
         }
@@ -66,23 +45,8 @@ impl Deserialize for DenseData {
                 hex.len()
             )));
         }
-        let mut values = Vec::with_capacity(hex.len() / 8);
-        for (i, word) in hex.chunks_exact(8).enumerate() {
-            let mut bits = 0u32;
-            for &c in word {
-                let nibble = match c {
-                    b'0'..=b'9' => c - b'0',
-                    b'a'..=b'f' => c - b'a' + 10,
-                    _ => {
-                        return Err(Error::msg(format!(
-                            "DenseData bits: value {i} holds a byte {c:#04x} that is not a lowercase hex digit"
-                        )))
-                    }
-                };
-                bits = bits << 4 | u32::from(nibble);
-            }
-            values.push(f32::from_bits(bits));
-        }
+        let values =
+            serde::f32s_from_bits(hex).map_err(|e| Error::msg(format!("DenseData {e}")))?;
         Ok(DenseData { dim, values })
     }
 }

@@ -8,11 +8,13 @@
 //! ```text
 //! offset  size  field
 //! 0       8     magic  "CARDESTM"
-//! 8       4     format version (u32 LE) — currently 1
+//! 8       4     format version (u32 LE) — currently 2
 //! 12      4     kind length K (u32 LE)
 //! 16      K     kind (utf-8, e.g. "cardest.gl") — which estimator family
 //! 16+K    8     payload length N (u64 LE)
-//! 24+K    8     FNV-1a 64 checksum of the payload (u64 LE)
+//! 24+K    8     payload checksum (u64 LE): FNV-1a's multiply over the
+//!               payload as little-endian u64 words, the last one
+//!               zero-padded, then over N (see `Checksum`)
 //! 32+K    N     payload (serde_json bytes of the estimator)
 //! ```
 //!
@@ -20,7 +22,9 @@
 //! that order, so each corruption class maps to its own
 //! [`ArtifactError`] variant. Writes go through a temp file + atomic
 //! rename: a crash mid-write leaves the old artifact intact, never a torn
-//! one.
+//! one. Neither direction copies the payload: a write streams the header
+//! and the payload's parts to the temp file, and a read hands back the
+//! payload inside the buffer the file was read into ([`Payload`]).
 //!
 //! The estimator-specific `save_artifact` / `load_artifact` methods live
 //! next to their types (`GlEstimator`, `CardNet`, `MlpEstimator`); this
@@ -28,6 +32,7 @@
 
 use std::fmt;
 use std::io::Write as _;
+use std::ops::Range;
 use std::path::Path;
 
 /// Leading magic bytes of every artifact file.
@@ -35,8 +40,10 @@ pub const MAGIC: [u8; 8] = *b"CARDESTM";
 
 /// Current container format version. Bump on any layout change; old
 /// readers then reject new files as [`ArtifactError::UnsupportedVersion`]
-/// instead of misinterpreting them.
-pub const FORMAT_VERSION: u32 = 1;
+/// instead of misinterpreting them, and this reader rejects old ones.
+/// Version 1 checksummed the payload one byte at a time with
+/// [`fnv1a64`].
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Everything that can go wrong loading (or saving) a model artifact.
 #[derive(Debug, Clone, PartialEq)]
@@ -85,28 +92,115 @@ impl fmt::Display for ArtifactError {
 
 impl std::error::Error for ArtifactError {}
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
 /// FNV-1a 64-bit hash — small, dependency-free, and sensitive to every
 /// byte position, which is all a corruption detector needs (this is not a
-/// cryptographic integrity guarantee).
+/// cryptographic integrity guarantee). WAL records, replication frames and
+/// state fingerprints use it; the container checksums whole words instead
+/// ([`Checksum`]).
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = FNV_OFFSET;
     for &b in bytes {
         h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        h = h.wrapping_mul(FNV_PRIME);
     }
     h
 }
 
-/// Frames `payload` in the container layout described at module level.
-pub fn encode(kind: &str, payload: &[u8]) -> Vec<u8> {
+/// The container's payload checksum, fed the payload in any number of
+/// parts: FNV-1a's xor-and-multiply over little-endian `u64` words, the
+/// last one zero-padded, and then over the payload length. Each step also
+/// folds the state's high half into its low half, so the high bits of a
+/// word reach the whole state by the next multiply.
+///
+/// For a fixed state every step is a bijection of the word, and for a
+/// fixed word a bijection of the state, so two payloads of one length that
+/// differ in a single word always get different checksums. It takes 8
+/// bytes a multiply where [`fnv1a64`] takes 1.
+struct Checksum {
+    state: u64,
+    /// Bytes of the word not yet complete.
+    pending: [u8; 8],
+    pending_len: usize,
+    len: u64,
+}
+
+impl Checksum {
+    fn new() -> Self {
+        Checksum {
+            state: FNV_OFFSET,
+            pending: [0; 8],
+            pending_len: 0,
+            len: 0,
+        }
+    }
+
+    fn mix(&mut self, word: u64) {
+        let h = (self.state ^ word).wrapping_mul(FNV_PRIME);
+        self.state = h ^ (h >> 32);
+    }
+
+    fn update(&mut self, mut bytes: &[u8]) {
+        self.len += bytes.len() as u64;
+        if self.pending_len > 0 {
+            let take = bytes.len().min(8 - self.pending_len);
+            self.pending[self.pending_len..self.pending_len + take].copy_from_slice(&bytes[..take]);
+            self.pending_len += take;
+            bytes = &bytes[take..];
+            if self.pending_len < 8 {
+                return;
+            }
+            self.mix(u64::from_le_bytes(self.pending));
+            self.pending_len = 0;
+        }
+        let words = bytes.chunks_exact(8);
+        let tail = words.remainder();
+        for word in words {
+            self.mix(u64::from_le_bytes(word.try_into().unwrap_or_default()));
+        }
+        self.pending[..tail.len()].copy_from_slice(tail);
+        self.pending_len = tail.len();
+    }
+
+    fn finish(mut self) -> u64 {
+        if self.pending_len > 0 {
+            self.pending[self.pending_len..].fill(0);
+            self.mix(u64::from_le_bytes(self.pending));
+        }
+        self.mix(self.len);
+        self.state
+    }
+}
+
+/// The checksum of the payload made of `parts`, in order.
+fn checksum(parts: &[&[u8]]) -> u64 {
+    let mut c = Checksum::new();
+    for part in parts {
+        c.update(part);
+    }
+    c.finish()
+}
+
+/// The container header (everything before the payload) for the payload
+/// made of `parts`.
+fn header(kind: &str, parts: &[&[u8]]) -> Vec<u8> {
     let k = kind.as_bytes();
-    let mut out = Vec::with_capacity(32 + k.len() + payload.len());
+    let len: usize = parts.iter().map(|p| p.len()).sum();
+    let mut out = Vec::with_capacity(32 + k.len());
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
     out.extend_from_slice(&(k.len() as u32).to_le_bytes());
     out.extend_from_slice(k);
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&fnv1a64(payload).to_le_bytes());
+    out.extend_from_slice(&(len as u64).to_le_bytes());
+    out.extend_from_slice(&checksum(parts).to_le_bytes());
+    out
+}
+
+/// Frames `payload` in the container layout described at module level.
+pub fn encode(kind: &str, payload: &[u8]) -> Vec<u8> {
+    let mut out = header(kind, &[payload]);
     out.extend_from_slice(payload);
     out
 }
@@ -122,7 +216,7 @@ struct Header<'a> {
     kind: &'a str,
     /// Declared payload length.
     plen: usize,
-    /// Stored FNV-1a 64 checksum of the payload.
+    /// Stored checksum of the payload.
     checksum: u64,
     /// Offset of the first payload byte.
     payload_start: usize,
@@ -196,8 +290,9 @@ fn parse_header(bytes: &[u8]) -> Result<Header<'_>, ArtifactError> {
     })
 }
 
-/// Verifies the payload bounds and checksum declared by `h`.
-fn verify_payload<'a>(bytes: &'a [u8], h: &Header<'_>) -> Result<&'a [u8], ArtifactError> {
+/// Verifies the payload bounds and checksum declared by `h`, returning
+/// where the payload lies in `bytes`.
+fn verify_payload(bytes: &[u8], h: &Header<'_>) -> Result<Range<usize>, ArtifactError> {
     let total = h
         .payload_start
         .checked_add(h.plen)
@@ -208,22 +303,21 @@ fn verify_payload<'a>(bytes: &'a [u8], h: &Header<'_>) -> Result<&'a [u8], Artif
             got: bytes.len(),
         });
     }
-    let payload = &bytes[h.payload_start..total];
-    let got = fnv1a64(payload);
+    let got = checksum(&[&bytes[h.payload_start..total]]);
     if got != h.checksum {
         return Err(ArtifactError::ChecksumMismatch {
             expected: h.checksum,
             got,
         });
     }
-    Ok(payload)
+    Ok(h.payload_start..total)
 }
 
-/// Verifies the container and returns the payload slice.
+/// Verifies the container and returns where its payload lies.
 ///
 /// Checks run outside-in — magic, version, kind, declared length,
 /// checksum — so the reported error names the *first* broken layer.
-pub fn decode<'a>(bytes: &'a [u8], expected_kind: &str) -> Result<&'a [u8], ArtifactError> {
+fn payload_range(bytes: &[u8], expected_kind: &str) -> Result<Range<usize>, ArtifactError> {
     let h = parse_header(bytes)?;
     if h.kind != expected_kind {
         return Err(ArtifactError::KindMismatch {
@@ -232,6 +326,11 @@ pub fn decode<'a>(bytes: &'a [u8], expected_kind: &str) -> Result<&'a [u8], Arti
         });
     }
     verify_payload(bytes, &h)
+}
+
+/// Verifies the container and returns the payload slice.
+pub fn decode<'a>(bytes: &'a [u8], expected_kind: &str) -> Result<&'a [u8], ArtifactError> {
+    payload_range(bytes, expected_kind).map(|r| &bytes[r])
 }
 
 /// Verifies the container (magic, version, length, checksum) and returns
@@ -250,13 +349,15 @@ pub fn read_kind(path: &Path) -> Result<String, ArtifactError> {
     peek_kind(&bytes)
 }
 
-/// Writes an encoded artifact via temp file + atomic rename in the target
-/// directory: readers see either the old complete file or the new one,
-/// never a torn prefix. The temp file is synced before the rename and the
-/// directory after it, so once this returns the new file survives a power
-/// loss; a store may then drop the WAL records it covers.
-pub fn write_atomic(path: &Path, kind: &str, payload: &[u8]) -> Result<(), ArtifactError> {
-    let bytes = encode(kind, payload);
+/// Writes the artifact whose payload is `parts`, concatenated, via temp
+/// file + atomic rename in the target directory: readers see either the
+/// old complete file or the new one, never a torn prefix. The header and
+/// each part go to the temp file as they are, so the payload is never
+/// copied. The temp file is synced before the rename and the directory
+/// after it, so once this returns the new file survives a power loss; a
+/// store may then drop the WAL records it covers.
+pub fn write_atomic(path: &Path, kind: &str, parts: &[&[u8]]) -> Result<(), ArtifactError> {
+    let header = header(kind, parts);
     let dir = path
         .parent()
         .filter(|p| !p.as_os_str().is_empty())
@@ -271,7 +372,10 @@ pub fn write_atomic(path: &Path, kind: &str, payload: &[u8]) -> Result<(), Artif
     let io = |e: std::io::Error| ArtifactError::Io(e.to_string());
     let write_synced = || {
         let mut file = std::fs::File::create(&tmp)?;
-        file.write_all(&bytes)?;
+        file.write_all(&header)?;
+        for part in parts {
+            file.write_all(part)?;
+        }
         file.sync_all()
     };
     write_synced()
@@ -285,16 +389,40 @@ pub fn write_atomic(path: &Path, kind: &str, payload: &[u8]) -> Result<(), Artif
         .map_err(io)
 }
 
-/// Reads and verifies an artifact, returning the payload bytes.
-pub fn read(path: &Path, expected_kind: &str) -> Result<Vec<u8>, ArtifactError> {
-    let bytes = std::fs::read(path).map_err(|e| ArtifactError::Io(e.to_string()))?;
-    decode(&bytes, expected_kind).map(<[u8]>::to_vec)
+/// A verified payload, left in the buffer its file was read into: it
+/// dereferences to the payload bytes.
+#[derive(Debug)]
+pub struct Payload {
+    /// The file, cut after the payload's last byte.
+    file: Vec<u8>,
+    start: usize,
 }
 
-/// Reads, verifies, and utf-8-decodes a JSON payload.
-pub fn read_json_payload(path: &Path, expected_kind: &str) -> Result<String, ArtifactError> {
-    let payload = read(path, expected_kind)?;
-    String::from_utf8(payload).map_err(|_| ArtifactError::Malformed("payload is not utf-8".into()))
+impl Payload {
+    /// The payload without its first `n` bytes (empty if it is shorter).
+    pub fn skip(mut self, n: usize) -> Payload {
+        self.start = self.file.len().min(self.start + n);
+        self
+    }
+}
+
+impl std::ops::Deref for Payload {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.file[self.start..]
+    }
+}
+
+/// Reads and verifies an artifact, returning its payload in place.
+pub fn read(path: &Path, expected_kind: &str) -> Result<Payload, ArtifactError> {
+    let mut file = std::fs::read(path).map_err(|e| ArtifactError::Io(e.to_string()))?;
+    let range = payload_range(&file, expected_kind)?;
+    file.truncate(range.end);
+    Ok(Payload {
+        file,
+        start: range.start,
+    })
 }
 
 #[cfg(test)]
@@ -333,6 +461,89 @@ mod tests {
                 supported: FORMAT_VERSION,
             })
         );
+    }
+
+    #[test]
+    fn version_1_containers_are_unsupported() {
+        // Version 1 checksummed the payload byte by byte; its files are
+        // refused by version, never checked against the wrong checksum.
+        let payload = b"{}";
+        let mut bytes = encode("k", payload);
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        let v1_checksum = fnv1a64(payload).to_le_bytes();
+        let at = bytes.len() - payload.len() - 8;
+        bytes[at..at + 8].copy_from_slice(&v1_checksum);
+        assert_eq!(
+            decode(&bytes, "k"),
+            Err(ArtifactError::UnsupportedVersion {
+                found: 1,
+                supported: 2,
+            })
+        );
+    }
+
+    #[test]
+    fn checksum_is_the_same_for_any_split_of_the_payload() {
+        let data: Vec<u8> = (0..33u8).map(|i| i.wrapping_mul(37) ^ 0x5a).collect();
+        for len in 0..=data.len() {
+            let p = &data[..len];
+            let whole = checksum(&[p]);
+            for a in 0..=len {
+                assert_eq!(checksum(&[&p[..a], &p[a..]]), whole, "len {len}, split {a}");
+                for b in a..=len {
+                    assert_eq!(
+                        checksum(&[&p[..a], &p[a..b], &[], &p[b..]]),
+                        whole,
+                        "len {len}, splits {a} and {b}"
+                    );
+                }
+            }
+        }
+        // Zero padding does not hide a length change.
+        assert_ne!(checksum(&[b"abc"]), checksum(&[b"abc\0"]));
+        assert_ne!(checksum(&[b""]), checksum(&[b"\0\0\0\0\0\0\0\0"]));
+    }
+
+    #[test]
+    fn every_single_bit_flip_fails_the_checksum() {
+        // Lengths 1–17 put flips in whole words, in the zero-padded tail
+        // and on both sides of the boundary between them.
+        for len in 1..=17usize {
+            let payload: Vec<u8> = (0..len).map(|i| (i * 29 + 7) as u8).collect();
+            let bytes = encode("k", &payload);
+            let start = bytes.len() - len;
+            for i in start..bytes.len() {
+                for bit in 0..8 {
+                    let mut flipped = bytes.clone();
+                    flipped[i] ^= 1 << bit;
+                    assert!(
+                        matches!(
+                            decode(&flipped, "k"),
+                            Err(ArtifactError::ChecksumMismatch { .. })
+                        ),
+                        "len {len}: flip of bit {bit} in payload byte {} passed",
+                        i - start
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn payload_prefix_is_skipped_in_place() {
+        let dir =
+            std::env::temp_dir().join(format!("cardest-artifact-prefix-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("state.cardest");
+        write_atomic(&path, "k", &[&7u64.to_le_bytes(), b"state"]).unwrap();
+        let payload = read(&path, "k").unwrap();
+        assert_eq!(payload.len(), 13);
+        let state = payload.skip(8);
+        assert_eq!(&*state, b"state");
+        assert_eq!(&*state.skip(3), b"te");
+        let empty = read(&path, "k").unwrap().skip(14);
+        assert!(empty.is_empty());
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -437,7 +648,7 @@ mod tests {
             std::env::temp_dir().join(format!("cardest-artifact-kind-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("model.cardest");
-        write_atomic(&path, "cardest.mlp", b"{}").unwrap();
+        write_atomic(&path, "cardest.mlp", &[b"{}"]).unwrap();
         assert_eq!(read_kind(&path).unwrap(), "cardest.mlp");
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -482,11 +693,12 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("cardest-artifact-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("model.cardest");
-        write_atomic(&path, "k", b"hello").unwrap();
-        assert_eq!(read(&path, "k").unwrap(), b"hello");
+        write_atomic(&path, "k", &[b"hello"]).unwrap();
+        assert_eq!(&*read(&path, "k").unwrap(), b"hello");
         // Overwrite is atomic too — and no temp droppings remain.
-        write_atomic(&path, "k", b"world").unwrap();
-        assert_eq!(read(&path, "k").unwrap(), b"world");
+        write_atomic(&path, "k", &[b"wor", b"", b"ld"]).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), encode("k", b"world"));
+        assert_eq!(&*read(&path, "k").unwrap(), b"world");
         let leftovers: Vec<_> = std::fs::read_dir(&dir)
             .unwrap()
             .filter_map(|e| e.ok())
@@ -507,7 +719,7 @@ mod tests {
         let path = dir.join("model.cardest");
         std::fs::create_dir_all(path.join("occupied")).unwrap();
         assert!(matches!(
-            write_atomic(&path, "k", b"hello"),
+            write_atomic(&path, "k", &[b"hello"]),
             Err(ArtifactError::Io(_))
         ));
         let names: Vec<_> = std::fs::read_dir(&dir)

@@ -4,17 +4,49 @@
 //! allocation per matrix, no per-element boxing, and all hot loops written
 //! over slices so they bound-check once per row.
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Error, Serialize, Value};
 
 /// A dense row-major matrix of `f32`.
 ///
 /// `rows` is the batch dimension throughout this crate: a batch of `B`
-/// feature vectors of width `d` is a `B × d` matrix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// feature vectors of width `d` is a `B × d` matrix. Serializes as
+/// `{"rows": r, "cols": c, "bits": "…"}`, the values as a bit string
+/// ([`serde::f32_bits`]): exact, and 8 bytes a value.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
     data: Vec<f32>,
+}
+
+impl Serialize for Matrix {
+    fn serialize(&self) -> Value {
+        Value::Map(vec![
+            ("rows".to_string(), self.rows.serialize()),
+            ("cols".to_string(), self.cols.serialize()),
+            ("bits".to_string(), serde::f32_bits(&self.data)),
+        ])
+    }
+}
+
+impl Deserialize for Matrix {
+    fn deserialize(v: &Value) -> Result<Self, Error> {
+        let map = v.expect_map("Matrix")?;
+        let rows: usize = serde::get_field(map, "rows", "Matrix")?;
+        let cols: usize = serde::get_field(map, "cols", "Matrix")?;
+        let len = rows.checked_mul(cols).ok_or_else(|| {
+            Error::msg(format!("Matrix rows {rows} × cols {cols} overflow usize"))
+        })?;
+        let data = serde::f32s_from_bits(serde::get_str_field(map, "bits", "Matrix")?)
+            .map_err(|e| Error::msg(format!("Matrix {e}")))?;
+        if data.len() != len {
+            return Err(Error::msg(format!(
+                "Matrix bits hold {} values, not rows {rows} × cols {cols}",
+                data.len()
+            )));
+        }
+        Ok(Matrix { rows, cols, data })
+    }
 }
 
 impl Matrix {
@@ -462,5 +494,102 @@ mod tests {
     #[should_panic(expected = "buffer length")]
     fn from_vec_rejects_bad_shape() {
         let _ = Matrix::from_vec(2, 2, vec![1.0]);
+    }
+
+    /// Bit patterns a decimal round trip would lose or canonicalize:
+    /// signed zeros, subnormals, infinities and NaNs with distinct payloads.
+    const SPECIAL_BITS: [u32; 12] = [
+        0x0000_0000,
+        0x8000_0000,
+        0x0000_0001,
+        0x807f_ffff,
+        0x7f80_0000,
+        0xff80_0000,
+        0x7fc0_0000,
+        0x7fc0_1234,
+        0xffa0_0001,
+        0x7f80_0001,
+        0x3dcc_cccd,
+        0xbfc0_0000,
+    ];
+
+    #[test]
+    fn serde_round_trips_every_bit_pattern() {
+        let m = Matrix::from_vec(3, 4, SPECIAL_BITS.map(f32::from_bits).to_vec());
+        let v = m.serialize();
+        let map = v.expect_map("matrix").unwrap();
+        let keys: Vec<&str> = map.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["rows", "cols", "bits"]);
+        assert_eq!(
+            serde::get_str_field(map, "bits", "Matrix").unwrap()[..24],
+            *"000000008000000000000001"
+        );
+        let back = Matrix::deserialize(&v).unwrap();
+        assert_eq!((back.rows(), back.cols()), (3, 4));
+        let bits: Vec<u32> = back.as_slice().iter().map(|x| x.to_bits()).collect();
+        assert_eq!(bits, SPECIAL_BITS);
+        let empty = Matrix::deserialize(&Matrix::zeros(0, 5).serialize()).unwrap();
+        assert_eq!(
+            (empty.rows(), empty.cols(), empty.as_slice().len()),
+            (0, 5, 0)
+        );
+    }
+
+    #[test]
+    fn serde_decode_errors_are_typed() {
+        let doc = |rows: u64, cols: u64, bits: &str| {
+            Value::Map(vec![
+                ("rows".to_string(), Value::UInt(rows)),
+                ("cols".to_string(), Value::UInt(cols)),
+                ("bits".to_string(), Value::Str(bits.to_string())),
+            ])
+        };
+        let one = "3f800000";
+        for (v, msg) in [
+            (
+                doc(1, 1, "3f80000"),
+                "Matrix bits hold 7 bytes, not a multiple of 8",
+            ),
+            (
+                doc(1, 1, "3f80000G"),
+                "Matrix bits: value 0 holds a byte 0x47 that is not a lowercase hex digit",
+            ),
+            (
+                doc(1, 2, one),
+                "Matrix bits hold 1 values, not rows 1 × cols 2",
+            ),
+            (
+                doc(2, 0, one),
+                "Matrix bits hold 1 values, not rows 2 × cols 0",
+            ),
+            (
+                doc(1 << 32, 1 << 32, one),
+                "Matrix rows 4294967296 × cols 4294967296 overflow usize",
+            ),
+            (
+                doc(u64::MAX, 2, one),
+                "Matrix rows 18446744073709551615 × cols 2 overflow usize",
+            ),
+            (
+                Value::Map(vec![
+                    ("rows".to_string(), Value::UInt(1)),
+                    ("cols".to_string(), Value::UInt(1)),
+                    ("data".to_string(), Value::Seq(vec![Value::Float(1.0)])),
+                ]),
+                "missing field `bits` for Matrix",
+            ),
+            (
+                Value::Map(vec![
+                    ("rows".to_string(), Value::UInt(1)),
+                    ("cols".to_string(), Value::UInt(1)),
+                    ("bits".to_string(), Value::Seq(vec![Value::Float(1.0)])),
+                ]),
+                "expected a string for Matrix bits",
+            ),
+        ] {
+            let err = Matrix::deserialize(&v).expect_err(msg);
+            assert!(err.to_string().contains(msg), "{err}");
+        }
+        assert_eq!(Matrix::deserialize(&doc(1, 1, one)).unwrap().get(0, 0), 1.0);
     }
 }

@@ -5,11 +5,12 @@
 //! `cardest-serve` — stand up the estimation service on a synthetic
 //! paper dataset.
 //!
-//! Startup: generate (or load from cache) the dataset, train a small MLP
-//! estimator if no artifact exists yet (subsequent runs reuse it), build
-//! the sampling fallback, and serve. `--port 0` binds an ephemeral port;
-//! the chosen address is announced on stdout as `LISTENING <addr>` so
-//! scripts (the smoke battery, the load generator) can find it.
+//! Startup: generate (or load from cache) the dataset, build the sampling
+//! fallback, load the cached MLP estimator or, if there is none or it does
+//! not load, train one and cache it (subsequent runs reuse it), and serve.
+//! `--port 0` binds an ephemeral port; the chosen address is announced on
+//! stdout as `LISTENING <addr>` so scripts (the smoke battery, the load
+//! generator) can find it.
 //!
 //! ```text
 //! cardest-serve --dataset GloVe300 --port 8080
@@ -162,27 +163,6 @@ fn run() -> Result<(), String> {
         spec.n_data,
         args.seed
     ));
-    if !artifact.exists() {
-        eprintln!(
-            "cardest-serve: no artifact at {}; training",
-            artifact.display()
-        );
-        let workload = SearchWorkload::build(&data, &spec, args.seed);
-        let training = TrainingSet::new(&workload.queries, &workload.train);
-        let mut cfg = MlpConfig::default();
-        if let Some(e) = args.train_epochs {
-            cfg.train.epochs = e;
-        }
-        let (model, report) = MlpEstimator::train(&data, spec.metric, &training, &cfg, args.seed);
-        eprintln!(
-            "cardest-serve: trained {} epochs, final loss {:.4}",
-            report.epochs_run, report.final_loss
-        );
-        model
-            .save_artifact(&artifact)
-            .map_err(|e| format!("save artifact: {e}"))?;
-    }
-
     let fallback = Arc::new(SamplingEstimator::with_ratio(
         &data,
         spec.metric,
@@ -190,17 +170,41 @@ fn run() -> Result<(), String> {
         args.seed,
         "Sampling 1%",
     ));
-    let registry = ModelRegistry::new(
-        RegistryConfig {
-            n_data: data.len(),
-            dim: data.dim(),
-            repr: repr_of(&data),
-            monotone: true,
-        },
-        fallback,
-        &artifact,
-    )
-    .map_err(|e| format!("load model: {e}"))?;
+    let registry_cfg = RegistryConfig {
+        n_data: data.len(),
+        dim: data.dim(),
+        repr: repr_of(&data),
+        monotone: true,
+    };
+    // The cached model is only a cache, like the dataset's: one that is
+    // missing or does not load (an older format, a torn or corrupt file) is
+    // retrained and overwritten.
+    let registry = match ModelRegistry::new(registry_cfg.clone(), fallback.clone(), &artifact) {
+        Ok(registry) => registry,
+        Err(e) => {
+            eprintln!(
+                "cardest-serve: no usable artifact at {} ({e}); training",
+                artifact.display()
+            );
+            let workload = SearchWorkload::build(&data, &spec, args.seed);
+            let training = TrainingSet::new(&workload.queries, &workload.train);
+            let mut cfg = MlpConfig::default();
+            if let Some(e) = args.train_epochs {
+                cfg.train.epochs = e;
+            }
+            let (model, report) =
+                MlpEstimator::train(&data, spec.metric, &training, &cfg, args.seed);
+            eprintln!(
+                "cardest-serve: trained {} epochs, final loss {:.4}",
+                report.epochs_run, report.final_loss
+            );
+            model
+                .save_artifact(&artifact)
+                .map_err(|e| format!("save artifact: {e}"))?;
+            ModelRegistry::new(registry_cfg, fallback, &artifact)
+                .map_err(|e| format!("load model: {e}"))?
+        }
+    };
 
     let handle = Server::start(
         ServerConfig {

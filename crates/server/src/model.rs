@@ -197,7 +197,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("cardest-model-kind-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("weird.cardest");
-        cardest_nn::artifact::write_atomic(&path, "cardest.unknown", b"{}").unwrap();
+        cardest_nn::artifact::write_atomic(&path, "cardest.unknown", &[b"{}"]).unwrap();
         match LoadedModel::load(&path) {
             Err(ReloadError::UnsupportedKind(k)) => assert_eq!(k, "cardest.unknown"),
             Err(other) => panic!("expected UnsupportedKind, got {other:?}"),

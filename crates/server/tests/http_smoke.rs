@@ -2,25 +2,26 @@
 //!
 //! One in-process server instance serves the whole battery: estimate,
 //! batch, malformed-body 400, admin reload (healthy swap and corrupt
-//! rejection), and stats. A separate test exercises the `cardest-serve`
+//! rejection), and stats. Two separate tests exercise the `cardest-serve`
 //! binary itself: it must announce `LISTENING <addr>` on stdout and
-//! answer health checks. Every blocking read carries a deadline (the
+//! answer health checks, also when its cached model does not load. Every blocking read carries a deadline (the
 //! client's 30 s socket timeout), so a wedged server fails instead of
 //! hanging CI.
 
-use cardest_baselines::mlp::{MlpConfig, MlpEstimator};
+use cardest_baselines::mlp::{MlpConfig, MlpEstimator, MLP_ARTIFACT_KIND};
 use cardest_baselines::sampling::SamplingEstimator;
 use cardest_baselines::traits::TrainingSet;
 use cardest_data::metric::Metric;
 use cardest_data::paper::{DatasetSpec, PaperDataset};
 use cardest_data::workload::SearchWorkload;
+use cardest_nn::ArtifactError;
 use cardest_server::client::HttpClient;
 use cardest_server::model::repr_of;
 use cardest_server::registry::SharedFallback;
 use cardest_server::{ModelRegistry, RegistryConfig, Server, ServerConfig, ServerHandle};
 use serde::Value;
 use std::io::{BufRead, BufReader};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
 use std::time::Duration;
@@ -362,10 +363,9 @@ impl Drop for KillOnDrop {
     }
 }
 
-#[test]
-fn serve_binary_announces_listening_and_answers() {
-    let dir = std::env::temp_dir().join(format!("cardest-serve-bin-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+/// Starts `cardest-serve` on a tiny GloVe300 set (seed 42) with its model
+/// and dataset caches under `dir`, and waits for its `LISTENING` line.
+fn spawn_serve(dir: &Path) -> (KillOnDrop, std::net::SocketAddr) {
     let child = Command::new(env!("CARGO_BIN_EXE_cardest-serve"))
         .args([
             "--dataset",
@@ -380,6 +380,8 @@ fn serve_binary_announces_listening_and_answers() {
             "2",
             "--workers",
             "2",
+            "--seed",
+            "42",
         ])
         .args(["--model-dir".as_ref(), dir.join("models").as_os_str()])
         .args(["--cache-dir".as_ref(), dir.join("cache").as_os_str()])
@@ -402,18 +404,21 @@ fn serve_binary_announces_listening_and_answers() {
             }
         }
     });
-    let addr: std::net::SocketAddr = rx
+    let addr = rx
         .recv_timeout(Duration::from_secs(120))
         .expect("server never announced LISTENING")
         .parse()
         .unwrap();
+    (child, addr)
+}
 
+/// A health check and one real estimate over the wire.
+fn assert_serves(addr: std::net::SocketAddr) {
     let mut c = HttpClient::connect(addr).unwrap();
     let r = c.get("/health").unwrap();
     assert_eq!(r.status, 200, "{}", r.text());
     assert!(r.text().contains("\"ok\""), "{}", r.text());
 
-    // One real estimate over the wire against the freshly-trained model.
     let comps: Vec<String> = (0..64)
         .map(|i| format!("{}", (i % 7) as f32 * 0.1))
         .collect();
@@ -421,6 +426,36 @@ fn serve_binary_announces_listening_and_answers() {
     let r = c.post_json("/estimate", &body).unwrap();
     assert_eq!(r.status, 200, "{}", r.text());
     assert!(r.text().contains("estimate"), "{}", r.text());
+}
 
+#[test]
+fn serve_binary_announces_listening_and_answers() {
+    let dir = std::env::temp_dir().join(format!("cardest-serve-bin-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (_child, addr) = spawn_serve(&dir);
+    assert_serves(addr);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn serve_binary_retrains_a_cached_model_it_cannot_load() {
+    // A model directory written by an older container format: the cached
+    // model is a version-1 file. The server must retrain and overwrite it,
+    // not refuse to start.
+    let dir = std::env::temp_dir().join(format!("cardest-serve-stale-{}", std::process::id()));
+    let cached = dir.join("models").join("mlp_glove300_64d_400n_42.cardest");
+    std::fs::create_dir_all(cached.parent().unwrap()).unwrap();
+    let mut stale = cardest_nn::artifact::encode(MLP_ARTIFACT_KIND, b"{}");
+    cardest_nn::faults::skew_version(&mut stale, 1);
+    std::fs::write(&cached, &stale).unwrap();
+    assert!(matches!(
+        MlpEstimator::load_artifact(&cached),
+        Err(ArtifactError::UnsupportedVersion { found: 1, .. })
+    ));
+
+    let (_child, addr) = spawn_serve(&dir);
+    assert_serves(addr);
+    // The retrained model replaced the stale file at the cached path.
+    assert!(MlpEstimator::load_artifact(&cached).is_ok());
     std::fs::remove_dir_all(&dir).ok();
 }

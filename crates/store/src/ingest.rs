@@ -228,10 +228,10 @@ impl DurableIngest {
     pub fn open(dir: &Path, cfg: StoreConfig) -> Result<(Self, RecoveryReport), StoreError> {
         let stale_tmp_swept = snapshot::sweep_stale_tmp(dir, snapshot::SWEEP_GRACE);
         let (snapshot_seq, state) = snapshot::read_snapshot(&dir.join(SNAPSHOT_FILE))?;
-        let state = String::from_utf8(state)
+        let state = std::str::from_utf8(&state)
             .map_err(|_| StoreError::Serde("snapshot state is not utf-8".into()))?;
-        let mut upd = UpdatableGl::from_snapshot_json(&state)
-            .map_err(|e| StoreError::Serde(e.to_string()))?;
+        let mut upd =
+            UpdatableGl::from_snapshot_json(state).map_err(|e| StoreError::Serde(e.to_string()))?;
         let (mut wal, records, wal_recovery) = SegmentedWal::open(dir, cfg.sync_writes, 0)?;
         let mut replayed = 0usize;
         let mut skipped = 0usize;

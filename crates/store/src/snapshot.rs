@@ -6,9 +6,11 @@
 //! written with the same temp-file + atomic-rename discipline: a crash at
 //! any point of a snapshot write leaves either the previous complete
 //! snapshot or the new complete one on disk — never a torn file. Stray
-//! temp files from a crash mid-rename are swept on recovery.
+//! temp files from a crash mid-rename are swept on recovery. Neither
+//! direction copies the state: it is written straight after the prefix and
+//! read back in the buffer the file was read into.
 
-use cardest_nn::artifact::{self, ArtifactError};
+use cardest_nn::artifact::{self, ArtifactError, Payload};
 use std::fmt;
 use std::path::Path;
 use std::time::Duration;
@@ -47,15 +49,13 @@ impl From<ArtifactError> for SnapshotError {
 /// Writes a snapshot covering all WAL records with `seq <= last_seq`.
 /// Atomic: readers see the old snapshot or the new one, never a mix.
 pub fn write_snapshot(path: &Path, last_seq: u64, state: &[u8]) -> Result<(), SnapshotError> {
-    let mut payload = Vec::with_capacity(8 + state.len());
-    payload.extend_from_slice(&last_seq.to_le_bytes());
-    payload.extend_from_slice(state);
-    artifact::write_atomic(path, SNAPSHOT_KIND, &payload)?;
+    artifact::write_atomic(path, SNAPSHOT_KIND, &[&last_seq.to_le_bytes(), state])?;
     Ok(())
 }
 
-/// Reads and verifies a snapshot, returning `(last_seq, state_bytes)`.
-pub fn read_snapshot(path: &Path) -> Result<(u64, Vec<u8>), SnapshotError> {
+/// Reads and verifies a snapshot, returning `(last_seq, state)`, the
+/// state still in the buffer the file was read into.
+pub fn read_snapshot(path: &Path) -> Result<(u64, Payload), SnapshotError> {
     let payload = artifact::read(path, SNAPSHOT_KIND)?;
     let seq_bytes = payload
         .get(..8)
@@ -70,7 +70,7 @@ pub fn read_snapshot(path: &Path) -> Result<(u64, Vec<u8>), SnapshotError> {
         seq_bytes[6],
         seq_bytes[7],
     ]);
-    Ok((last_seq, payload[8..].to_vec()))
+    Ok((last_seq, payload.skip(8)))
 }
 
 /// Grace window [`sweep_stale_tmp`] applies: a tmp file younger than this
@@ -130,7 +130,7 @@ mod tests {
         write_snapshot(&path, 42, b"{\"state\":true}").unwrap();
         let (seq, state) = read_snapshot(&path).unwrap();
         assert_eq!(seq, 42);
-        assert_eq!(state, b"{\"state\":true}");
+        assert_eq!(&*state, b"{\"state\":true}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -155,7 +155,33 @@ mod tests {
         let dir = tmp_dir("empty");
         let path = dir.join("state.snapshot");
         write_snapshot(&path, 3, b"").unwrap();
-        assert_eq!(read_snapshot(&path).unwrap(), (3, Vec::new()));
+        let (seq, state) = read_snapshot(&path).unwrap();
+        assert_eq!((seq, &*state), (3, &b""[..]));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn version_1_snapshot_is_a_typed_recovery_error() {
+        // A snapshot written before the container checksummed whole words
+        // is durable state: recovery refuses it by version and leaves it
+        // on disk, never replaces it.
+        let dir = tmp_dir("v1");
+        let path = dir.join(crate::ingest::SNAPSHOT_FILE);
+        write_snapshot(&path, 9, b"{}").unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        cardest_nn::faults::skew_version(&mut bytes, 1);
+        std::fs::write(&path, &bytes).unwrap();
+        let v1 = SnapshotError::Artifact(ArtifactError::UnsupportedVersion {
+            found: 1,
+            supported: 2,
+        });
+        assert_eq!(read_snapshot(&path).unwrap_err(), v1);
+        match crate::DurableIngest::open(&dir, crate::StoreConfig::default()) {
+            Err(crate::StoreError::Snapshot(e)) => assert_eq!(e, v1),
+            Err(other) => panic!("expected a snapshot error, got {other}"),
+            Ok(_) => panic!("a version-1 snapshot recovered"),
+        }
+        assert_eq!(std::fs::read(&path).unwrap(), bytes);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -181,7 +207,7 @@ mod tests {
         assert_eq!(sweep_stale_tmp(&dir, SWEEP_GRACE), 1);
         assert!(!dropping.exists());
         assert!(snap.exists());
-        assert_eq!(read_snapshot(&snap).unwrap().1, b"keep-me");
+        assert_eq!(&*read_snapshot(&snap).unwrap().1, b"keep-me");
         assert_eq!(sweep_stale_tmp(&dir, SWEEP_GRACE), 0);
         assert_eq!(sweep_stale_tmp(&dir.join("missing-subdir"), SWEEP_GRACE), 0);
         std::fs::remove_dir_all(&dir).ok();
@@ -206,7 +232,8 @@ mod tests {
         }
         writer.join().unwrap();
         assert_eq!(swept, 0, "sweep deleted an in-flight tmp file");
-        assert_eq!(read_snapshot(&snap).unwrap(), (199, b"concurrent".to_vec()));
+        let (seq, state) = read_snapshot(&snap).unwrap();
+        assert_eq!((seq, &*state), (199, &b"concurrent"[..]));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -8,7 +8,9 @@
 //!
 //! The derive macros live in the companion `serde_derive` shim and target
 //! exactly this API: [`Value`], [`Error`], [`get_field`],
-//! [`Value::expect_map`] and [`Value::expect_seq`].
+//! [`Value::expect_map`] and [`Value::expect_seq`]. Hand-written impls
+//! write large `f32` arrays as bit strings ([`f32_bits`],
+//! [`f32s_from_bits`]).
 
 pub use serde_derive::{Deserialize, Serialize};
 
@@ -132,6 +134,118 @@ pub fn get_field<T: Deserialize>(map: &[(String, Value)], key: &str, ty: &str) -
         Some((_, v)) => T::deserialize(v),
         None => Err(Error::msg(format!("missing field `{key}` for {ty}"))),
     }
+}
+
+/// Borrows a string field by name: `get_field` would copy it, and a bit
+/// string may be megabytes long.
+pub fn get_str_field<'a>(
+    map: &'a [(String, Value)],
+    key: &str,
+    ty: &str,
+) -> Result<&'a str, Error> {
+    match map.iter().find(|(k, _)| k == key) {
+        Some((_, Value::Str(s))) => Ok(s),
+        Some((_, other)) => Err(Error::msg(format!(
+            "expected a string for {ty} {key}, found {}",
+            other.describe()
+        ))),
+        None => Err(Error::msg(format!("missing field `{key}` for {ty}"))),
+    }
+}
+
+// ---------- f32 arrays as bit strings ----------
+
+/// The two lowercase hex digits of every byte, most significant first.
+const HEX_PAIRS: [[u8; 2]; 256] = {
+    let digits = b"0123456789abcdef";
+    let mut pairs = [[0u8; 2]; 256];
+    let mut b = 0;
+    while b < 256 {
+        pairs[b] = [digits[b >> 4], digits[b & 0xf]];
+        b += 1;
+    }
+    pairs
+};
+
+/// Marks a byte that is not a lowercase hex digit in [`NIBBLES`]; any
+/// value above `0xf` would do.
+const NOT_HEX: u8 = 0xff;
+
+/// The value of every lowercase hex digit, [`NOT_HEX`] for other bytes.
+const NIBBLES: [u8; 256] = {
+    let mut nibbles = [NOT_HEX; 256];
+    let mut d = 0;
+    while d < 16 {
+        nibbles[HEX_PAIRS[d][1] as usize] = d as u8;
+        d += 1;
+    }
+    nibbles
+};
+
+/// Writes `values` as a bit string: each value's `f32` bit pattern as 8
+/// lowercase hex digits, most significant first. That is exact for every
+/// value (`-0.0`, subnormals and NaN payloads included), 8 bytes a value,
+/// and formats no float.
+pub fn f32_bits(values: &[f32]) -> Value {
+    let mut hex = vec![0u8; 8 * values.len()];
+    for (digits, v) in hex.chunks_exact_mut(8).zip(values) {
+        for (pair, byte) in digits.chunks_exact_mut(2).zip(v.to_bits().to_be_bytes()) {
+            pair.copy_from_slice(&HEX_PAIRS[usize::from(byte)]);
+        }
+    }
+    // Hex digits are ASCII, so the conversion cannot fail.
+    Value::Str(String::from_utf8(hex).unwrap_or_default())
+}
+
+/// Why a bit string does not decode.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BitsError {
+    /// The string holds `bytes` bytes, not a whole number of values.
+    Length { bytes: usize },
+    /// Value `index` holds `byte`, which is not a lowercase hex digit.
+    Digit { index: usize, byte: u8 },
+}
+
+impl std::fmt::Display for BitsError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            BitsError::Length { bytes } => {
+                write!(f, "bits hold {bytes} bytes, not a multiple of 8")
+            }
+            BitsError::Digit { index, byte } => write!(
+                f,
+                "bits: value {index} holds a byte {byte:#04x} that is not a lowercase hex digit"
+            ),
+        }
+    }
+}
+
+/// Reads a bit string written by [`f32_bits`] back, bit for bit.
+pub fn f32s_from_bits(hex: &str) -> Result<Vec<f32>, BitsError> {
+    let words = hex.as_bytes().chunks_exact(8);
+    if !words.remainder().is_empty() {
+        return Err(BitsError::Length { bytes: hex.len() });
+    }
+    let mut values = Vec::with_capacity(words.len());
+    for (index, digits) in words.enumerate() {
+        let mut bits = 0u32;
+        let mut seen = 0u8;
+        for &c in digits {
+            let nibble = NIBBLES[usize::from(c)];
+            seen |= nibble;
+            bits = bits << 4 | u32::from(nibble & 0xf);
+        }
+        if seen > 0xf {
+            let byte = digits
+                .iter()
+                .copied()
+                .find(|&c| NIBBLES[usize::from(c)] == NOT_HEX)
+                .unwrap_or_default();
+            return Err(BitsError::Digit { index, byte });
+        }
+        values.push(f32::from_bits(bits));
+    }
+    Ok(values)
 }
 
 // ---------- primitive impls ----------
@@ -330,5 +444,126 @@ mod tests {
             err.to_string(),
             "serde: expected number for f32, found a string of 1048576 bytes"
         );
+    }
+
+    #[test]
+    fn f32_bits_round_trip_every_bit_pattern() {
+        // Values whose bits a decimal round trip could lose or canonicalize.
+        let values = [
+            0.0,
+            -0.0,
+            f32::from_bits(1),
+            f32::from_bits(0x807f_ffff),
+            f32::MIN_POSITIVE,
+            f32::MAX,
+            f32::MIN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            f32::from_bits(0x7fc0_1234),
+            f32::from_bits(0xffa0_0001),
+            f32::from_bits(0x7f80_0001),
+            0.1,
+            -1.5,
+        ];
+        let Value::Str(hex) = f32_bits(&values) else {
+            panic!("a bit string is a string")
+        };
+        assert_eq!(hex.len(), 8 * values.len());
+        // 0.0, -0.0 and the smallest subnormal.
+        assert!(hex.starts_with("000000008000000000000001"), "{hex}");
+        let back = f32s_from_bits(&hex).expect("decode");
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&back), bits(&values));
+        // Every byte value, as it lands in each digit position.
+        let all: Vec<f32> = (0..=255u32)
+            .map(|b| f32::from_bits(b << 24 | b << 16 | (255 - b) << 8 | b))
+            .collect();
+        let Value::Str(hex) = f32_bits(&all) else {
+            panic!("a bit string is a string")
+        };
+        for (i, v) in all.iter().enumerate() {
+            assert_eq!(hex[8 * i..8 * i + 8], format!("{:08x}", v.to_bits()));
+        }
+        assert_eq!(bits(&f32s_from_bits(&hex).expect("decode")), bits(&all));
+        assert_eq!(f32_bits(&[]), Value::Str(String::new()));
+        assert_eq!(f32s_from_bits(""), Ok(Vec::new()));
+    }
+
+    #[test]
+    fn f32_bits_decode_errors_are_typed() {
+        for (hex, want) in [
+            ("3f80000", BitsError::Length { bytes: 7 }),
+            ("3f8000000", BitsError::Length { bytes: 9 }),
+            (
+                "3f80000g",
+                BitsError::Digit {
+                    index: 0,
+                    byte: b'g',
+                },
+            ),
+            (
+                "3F800000",
+                BitsError::Digit {
+                    index: 0,
+                    byte: b'F',
+                },
+            ),
+            (
+                "+f800000",
+                BitsError::Digit {
+                    index: 0,
+                    byte: b'+',
+                },
+            ),
+            (
+                "3f8000003f80 000",
+                BitsError::Digit {
+                    index: 1,
+                    byte: b' ',
+                },
+            ),
+            (
+                "3f8000é",
+                BitsError::Digit {
+                    index: 0,
+                    byte: 0xc3,
+                },
+            ),
+            (
+                "00000000\u{0}0000000",
+                BitsError::Digit { index: 1, byte: 0 },
+            ),
+        ] {
+            assert_eq!(f32s_from_bits(hex), Err(want), "{hex:?}");
+        }
+        assert_eq!(
+            BitsError::Digit {
+                index: 3,
+                byte: b'G'
+            }
+            .to_string(),
+            "bits: value 3 holds a byte 0x47 that is not a lowercase hex digit"
+        );
+        assert_eq!(
+            BitsError::Length { bytes: 7 }.to_string(),
+            "bits hold 7 bytes, not a multiple of 8"
+        );
+    }
+
+    #[test]
+    fn str_fields_are_borrowed_and_typed() {
+        let map = vec![
+            ("s".to_string(), Value::Str("abc".to_string())),
+            ("n".to_string(), Value::UInt(1)),
+        ];
+        assert_eq!(get_str_field(&map, "s", "T").expect("a string"), "abc");
+        let err = get_str_field(&map, "n", "T").expect_err("not a string");
+        assert_eq!(
+            err.to_string(),
+            "serde: expected a string for T n, found the integer 1"
+        );
+        let err = get_str_field(&map, "x", "T").expect_err("missing");
+        assert_eq!(err.to_string(), "serde: missing field `x` for T");
     }
 }

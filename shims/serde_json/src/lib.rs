@@ -102,17 +102,14 @@ fn write_value(v: &Value, out: &mut String) {
 }
 
 /// Writes `s` as a JSON string. Runs free of `"`, `\` and control
-/// characters are copied with one `push_str` each; only the bytes that
-/// need escaping are looked at one by one.
+/// characters are copied with one `push_str` each; the scan for the bytes
+/// that need escaping reads 8 bytes a step ([`next_escape`]).
 fn write_string(s: &str, out: &mut String) {
     out.push('"');
     let mut rest = s;
     // Every byte that needs escaping is ASCII, so each split falls on a
     // character boundary.
-    while let Some(i) = rest
-        .bytes()
-        .position(|b| b == b'"' || b == b'\\' || b < 0x20)
-    {
+    while let Some(i) = next_escape(rest.as_bytes()) {
         out.push_str(&rest[..i]);
         match rest.as_bytes()[i] {
             b'"' => out.push_str("\\\""),
@@ -128,6 +125,41 @@ fn write_string(s: &str, out: &mut String) {
     }
     out.push_str(rest);
     out.push('"');
+}
+
+/// Whether a byte must be escaped inside a JSON string.
+fn needs_escape(b: u8) -> bool {
+    b == b'"' || b == b'\\' || b < 0x20
+}
+
+/// A byte in each of a word's eight lanes.
+const fn lanes(b: u8) -> u64 {
+    0x0101_0101_0101_0101 * b as u64
+}
+
+/// Flags the lanes of `w` that hold a byte [`needs_escape`] (bit 7 of the
+/// lane). The subtractions borrow upward only from a lane that holds a
+/// match, so a false flag can only sit above a true one, and the lowest
+/// flag always marks the first match.
+fn escape_flags(w: u64) -> u64 {
+    const HIGH: u64 = lanes(0x80);
+    let below = |x: u64, n: u8| x.wrapping_sub(lanes(n)) & !x & HIGH;
+    below(w ^ lanes(b'"'), 1) | below(w ^ lanes(b'\\'), 1) | below(w, 0x20)
+}
+
+/// The index of the first byte of `bytes` that needs escaping, read as
+/// little-endian words so the first byte is the lowest lane.
+fn next_escape(bytes: &[u8]) -> Option<usize> {
+    let words = bytes.chunks_exact(8);
+    let tail = words.remainder();
+    for (k, word) in words.enumerate() {
+        let flags = escape_flags(u64::from_le_bytes(word.try_into().unwrap_or_default()));
+        if flags != 0 {
+            return Some(8 * k + flags.trailing_zeros() as usize / 8);
+        }
+    }
+    let at = bytes.len() - tail.len();
+    tail.iter().position(|&b| needs_escape(b)).map(|p| at + p)
 }
 
 // ---------- parser ----------
@@ -546,6 +578,99 @@ mod tests {
         for (v, want) in cases {
             assert_eq!(to_string(&v).expect("serialize"), want);
         }
+    }
+
+    /// The writer's string form, scanning one byte at a time.
+    fn reference_string(s: &str) -> String {
+        let mut out = vec![b'"'];
+        for &b in s.as_bytes() {
+            match b {
+                b'"' => out.extend_from_slice(b"\\\""),
+                b'\\' => out.extend_from_slice(b"\\\\"),
+                b'\n' => out.extend_from_slice(b"\\n"),
+                b'\r' => out.extend_from_slice(b"\\r"),
+                b'\t' => out.extend_from_slice(b"\\t"),
+                b if b < 0x20 => out.extend_from_slice(format!("\\u{b:04x}").as_bytes()),
+                b => out.push(b),
+            }
+        }
+        out.push(b'"');
+        String::from_utf8(out).expect("escaping keeps every character whole")
+    }
+
+    fn assert_writes_like_reference(s: &str) {
+        let got = to_string(s).expect("serialize");
+        assert_eq!(got, reference_string(s), "{s:?}");
+        assert_eq!(from_str::<String>(&got).expect("parse"), s);
+    }
+
+    #[test]
+    fn string_escapes_match_a_bytewise_scan_at_every_offset() {
+        // Every escape class, and the bytes next to each class's bound.
+        let mut specials: Vec<char> = (0u8..0x20).map(char::from).collect();
+        specials.extend(['"', '\\']);
+        let neighbours = ['\u{20}', '!', '#', '[', ']', '\u{7f}', 'é', '✓', '🎉'];
+        for &c in &specials {
+            for offset in 0..=16 {
+                for tail in [0, 1, 7, 8, 9] {
+                    let mut s = "0123456789abcdef".repeat(2)[..offset].to_string();
+                    s.push(c);
+                    s.push_str(&"x".repeat(tail));
+                    assert_writes_like_reference(&s);
+                    // A second escape in the same word, and one a word later.
+                    let mut two = s.clone();
+                    two.push(c);
+                    two.push_str("abcdefgh");
+                    two.push('"');
+                    assert_writes_like_reference(&two);
+                }
+            }
+        }
+        for &c in &neighbours {
+            for offset in 0..=16 {
+                let s = format!("{}{c}\n", &"ab".repeat(offset)[..offset]);
+                assert_writes_like_reference(&s);
+            }
+        }
+    }
+
+    #[test]
+    fn string_escapes_sit_beside_multibyte_characters() {
+        for s in [
+            "é\"✓\\🎉\n",
+            "日本語テキスト\t",
+            "\u{1}é\u{1f}é\u{7f}€\"",
+            "🎉🎉🎉🎉\\🎉🎉🎉🎉",
+            "ééééééé\"",
+            "\u{80}\u{9f}\u{a0}\u{ff}\u{100}\u{2028}\u{10ffff}\r",
+            "",
+            "no escapes at all, but longer than a word",
+        ] {
+            for offset in 0..=16 {
+                assert_writes_like_reference(&format!("{}{s}", "z".repeat(offset)));
+            }
+        }
+    }
+
+    #[test]
+    fn multi_megabyte_hex_string_writes_like_a_bytewise_scan() {
+        // A 4 MB bit string like the dataset's: no escapes, then the same
+        // string with escapes at its start, middle and last byte.
+        let values: Vec<f32> = (0..500_000u32)
+            .map(|i| f32::from_bits(i.wrapping_mul(2_654_435_761)))
+            .collect();
+        let Value::Str(hex) = serde::f32_bits(&values) else {
+            panic!("a bit string is a string")
+        };
+        assert_writes_like_reference(&hex);
+        let mut marked = hex.into_bytes();
+        let n = marked.len();
+        for at in [0, n / 2 + 3, n - 1] {
+            marked[at] = b'"';
+        }
+        marked[n / 3] = b'\n';
+        let marked = String::from_utf8(marked).expect("ascii");
+        assert_writes_like_reference(&marked);
     }
 
     #[test]
