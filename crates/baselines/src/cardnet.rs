@@ -295,8 +295,13 @@ impl CardNet {
     /// Loads an artifact written by [`CardNet::save_artifact`], verifying
     /// magic, format version, kind, and checksum first.
     pub fn load_artifact(path: &std::path::Path) -> Result<Self, ArtifactError> {
-        let payload = cardest_nn::artifact::read(path, CARDNET_ARTIFACT_KIND)?;
-        serde_json::from_slice(&payload).map_err(|e| ArtifactError::Malformed(e.to_string()))
+        Self::decode_artifact(&cardest_nn::artifact::read(path, CARDNET_ARTIFACT_KIND)?)
+    }
+
+    /// Decodes a verified artifact payload (see
+    /// `cardest_nn::artifact::read_any`).
+    pub fn decode_artifact(payload: &[u8]) -> Result<Self, ArtifactError> {
+        serde_json::from_slice(payload).map_err(|e| ArtifactError::Malformed(e.to_string()))
     }
 
     /// Converts decoder outputs into per-sample `ln card` estimates via the

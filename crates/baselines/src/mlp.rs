@@ -151,8 +151,13 @@ impl MlpEstimator {
     /// Loads an artifact written by [`MlpEstimator::save_artifact`],
     /// verifying magic, format version, kind, and checksum first.
     pub fn load_artifact(path: &std::path::Path) -> Result<Self, ArtifactError> {
-        let payload = cardest_nn::artifact::read(path, MLP_ARTIFACT_KIND)?;
-        serde_json::from_slice(&payload).map_err(|e| ArtifactError::Malformed(e.to_string()))
+        Self::decode_artifact(&cardest_nn::artifact::read(path, MLP_ARTIFACT_KIND)?)
+    }
+
+    /// Decodes a verified artifact payload (see
+    /// `cardest_nn::artifact::read_any`).
+    pub fn decode_artifact(payload: &[u8]) -> Result<Self, ArtifactError> {
+        serde_json::from_slice(payload).map_err(|e| ArtifactError::Malformed(e.to_string()))
     }
 }
 
@@ -206,6 +211,67 @@ mod tests {
             model.mean,
             zero_err.mean
         );
+    }
+
+    /// Two epochs of training on fixed random inputs, warm from `est`'s
+    /// weights; returns them afterwards.
+    fn finetuned_params(est: &mut MlpEstimator) -> Vec<f32> {
+        use cardest_nn::trainer::train_branch_regression;
+        use cardest_nn::Matrix;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(54);
+        let widths = est.net().in_dims().to_vec();
+        let mut columns =
+            |w: usize| -> Vec<f32> { (0..32 * w).map(|_| rng.gen_range(0.0..1.0)).collect() };
+        let inputs: Vec<Matrix> = widths
+            .iter()
+            .map(|&w| Matrix::from_vec(32, w, columns(w)))
+            .collect();
+        let cards: Vec<f32> = (0..32).map(|i| i as f32).collect();
+        let mut build = |idx: &[usize]| {
+            let rows: Vec<Matrix> = inputs.iter().map(|m| m.gather_rows(idx)).collect();
+            (rows, idx.iter().map(|&i| cards[i]).collect())
+        };
+        let cfg = TrainConfig {
+            epochs: 2,
+            batch_size: 8,
+            ..Default::default()
+        };
+        train_branch_regression(est.net_mut(), 32, &mut build, &cfg);
+        est.net().flat_params()
+    }
+
+    #[test]
+    fn a_saved_and_loaded_mlp_finetunes_bit_identically() {
+        let (data, w, spec) = tiny_workload();
+        let cfg = MlpConfig {
+            k_samples: 16,
+            train: TrainConfig {
+                epochs: 2,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let training = TrainingSet::new(&w.queries, &w.train);
+        let (mut trained, _) = MlpEstimator::train(&data, spec.metric, &training, &cfg, 55);
+        let dir = std::env::temp_dir().join(format!("cardest-mlp-finetune-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("mlp.cardest");
+        trained.save_artifact(&path).unwrap();
+        let mut loaded = MlpEstimator::load_artifact(&path).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        let json = serde_json::to_string(&trained).unwrap();
+        assert!(!json.contains("\"gw\""), "gradient accumulators were saved");
+        let want: Vec<u32> = finetuned_params(&mut trained)
+            .iter()
+            .map(|v| v.to_bits())
+            .collect();
+        let got: Vec<u32> = finetuned_params(&mut loaded)
+            .iter()
+            .map(|v| v.to_bits())
+            .collect();
+        assert_eq!(got, want);
     }
 
     #[test]

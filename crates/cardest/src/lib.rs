@@ -45,8 +45,8 @@
 //! let estimate = model.estimate(workload.queries.view(sample.query), sample.tau);
 //! assert!(estimate.is_finite() && estimate >= 0.0);
 //!
-//! // Batched estimation: one grouped forward pass per selected local
-//! // model instead of one pass per query.
+//! // Batched estimation: one routing pass for the whole batch, then one
+//! // vectorized pass per query that runs all its selected local models.
 //! let batch: Vec<(VectorView<'_>, f32)> = workload
 //!     .test
 //!     .iter()

@@ -333,22 +333,6 @@ pub fn decode<'a>(bytes: &'a [u8], expected_kind: &str) -> Result<&'a [u8], Arti
     payload_range(bytes, expected_kind).map(|r| &bytes[r])
 }
 
-/// Verifies the container (magic, version, length, checksum) and returns
-/// the estimator kind tag, without requiring the caller to know it in
-/// advance. The model registry uses this to dispatch a reload to the
-/// right estimator family's loader.
-pub fn peek_kind(bytes: &[u8]) -> Result<String, ArtifactError> {
-    let h = parse_header(bytes)?;
-    verify_payload(bytes, &h)?;
-    Ok(h.kind.to_string())
-}
-
-/// Reads an artifact file and returns its verified kind tag.
-pub fn read_kind(path: &Path) -> Result<String, ArtifactError> {
-    let bytes = std::fs::read(path).map_err(|e| ArtifactError::Io(e.to_string()))?;
-    peek_kind(&bytes)
-}
-
 /// Writes the artifact whose payload is `parts`, concatenated, via temp
 /// file + atomic rename in the target directory: readers see either the
 /// old complete file or the new one, never a torn prefix. The header and
@@ -399,6 +383,15 @@ pub struct Payload {
 }
 
 impl Payload {
+    /// The payload at `range` of `file`; the bytes after it are dropped.
+    fn new(mut file: Vec<u8>, range: Range<usize>) -> Payload {
+        file.truncate(range.end);
+        Payload {
+            file,
+            start: range.start,
+        }
+    }
+
     /// The payload without its first `n` bytes (empty if it is shorter).
     pub fn skip(mut self, n: usize) -> Payload {
         self.start = self.file.len().min(self.start + n);
@@ -416,13 +409,21 @@ impl std::ops::Deref for Payload {
 
 /// Reads and verifies an artifact, returning its payload in place.
 pub fn read(path: &Path, expected_kind: &str) -> Result<Payload, ArtifactError> {
-    let mut file = std::fs::read(path).map_err(|e| ArtifactError::Io(e.to_string()))?;
+    let file = std::fs::read(path).map_err(|e| ArtifactError::Io(e.to_string()))?;
     let range = payload_range(&file, expected_kind)?;
-    file.truncate(range.end);
-    Ok(Payload {
-        file,
-        start: range.start,
-    })
+    Ok(Payload::new(file, range))
+}
+
+/// Reads and verifies an artifact of any kind (magic, version, length,
+/// checksum), returning its kind tag and its payload in place. The model
+/// registry reads a file once this way and hands the payload to the
+/// decoder of the family the tag names.
+pub fn read_any(path: &Path) -> Result<(String, Payload), ArtifactError> {
+    let file = std::fs::read(path).map_err(|e| ArtifactError::Io(e.to_string()))?;
+    let h = parse_header(&file)?;
+    let kind = h.kind.to_string();
+    let range = verify_payload(&file, &h)?;
+    Ok((kind, Payload::new(file, range)))
 }
 
 #[cfg(test)]
@@ -624,32 +625,41 @@ mod tests {
     }
 
     #[test]
-    fn peek_kind_returns_the_kind_only_after_full_verification() {
+    fn read_any_returns_the_kind_only_after_full_verification() {
+        let dir = std::env::temp_dir().join(format!("cardest-artifact-any-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("model.cardest");
         let bytes = encode("cardest.gl", b"payload");
-        assert_eq!(peek_kind(&bytes).unwrap(), "cardest.gl");
+        std::fs::write(&path, &bytes).unwrap();
+        let (kind, payload) = read_any(&path).unwrap();
+        assert_eq!((kind.as_str(), &*payload), ("cardest.gl", &b"payload"[..]));
         // A bit-flipped payload must not yield a kind: the registry would
         // otherwise dispatch a corrupt artifact to a loader.
         let mut flipped = bytes.clone();
         let last = flipped.len() - 1;
         flipped[last] ^= 0x01;
+        std::fs::write(&path, &flipped).unwrap();
         assert!(matches!(
-            peek_kind(&flipped),
+            read_any(&path),
             Err(ArtifactError::ChecksumMismatch { .. })
         ));
+        std::fs::write(&path, &bytes[..bytes.len() - 2]).unwrap();
         assert!(matches!(
-            peek_kind(&bytes[..bytes.len() - 2]),
+            read_any(&path),
             Err(ArtifactError::Truncated { .. })
         ));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn read_kind_reads_from_disk() {
+    fn read_any_reads_what_write_atomic_wrote() {
         let dir =
             std::env::temp_dir().join(format!("cardest-artifact-kind-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("model.cardest");
-        write_atomic(&path, "cardest.mlp", &[b"{}"]).unwrap();
-        assert_eq!(read_kind(&path).unwrap(), "cardest.mlp");
+        write_atomic(&path, "cardest.mlp", &[b"{", b"}"]).unwrap();
+        let (kind, payload) = read_any(&path).unwrap();
+        assert_eq!((kind.as_str(), &*payload), ("cardest.mlp", &b"{}"[..]));
         std::fs::remove_dir_all(&dir).ok();
     }
 

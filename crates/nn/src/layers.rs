@@ -19,7 +19,7 @@ use crate::init;
 use crate::scratch::Scratch;
 use crate::tensor::{axpy, dot, Matrix};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 /// A mutable view over one parameter tensor and its gradient accumulator.
 /// The optimizer iterates these in a deterministic order.
@@ -54,15 +54,17 @@ pub enum PoolOp {
 }
 
 /// Fully-connected layer `y = act(x·Wᵀ + b)` with `W` stored `[out, in]`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Dense {
-    in_dim: usize,
-    out_dim: usize,
-    w: Matrix,
-    b: Vec<f32>,
+    pub(crate) in_dim: usize,
+    pub(crate) out_dim: usize,
+    pub(crate) w: Matrix,
+    pub(crate) b: Vec<f32>,
+    #[serde(skip)]
     gw: Matrix,
+    #[serde(skip)]
     gb: Vec<f32>,
-    activation: Activation,
+    pub(crate) activation: Activation,
     constraint: WeightConstraint,
     #[serde(skip)]
     cache_input: Option<Matrix>,
@@ -222,21 +224,23 @@ impl Dense {
 ///
 /// Input is `[batch, in_channels × in_len]` laid out channel-major per
 /// sample. Output is `[batch, out_channels × pool_len]`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Conv1d {
-    in_channels: usize,
-    in_len: usize,
-    out_channels: usize,
-    kernel: usize,
-    stride: usize,
-    padding: usize,
-    pool: PoolOp,
-    pool_size: usize,
-    activation: Activation,
+    pub(crate) in_channels: usize,
+    pub(crate) in_len: usize,
+    pub(crate) out_channels: usize,
+    pub(crate) kernel: usize,
+    pub(crate) stride: usize,
+    pub(crate) padding: usize,
+    pub(crate) pool: PoolOp,
+    pub(crate) pool_size: usize,
+    pub(crate) activation: Activation,
     /// Weights `[out_c, in_c, k]`, flattened.
-    w: Vec<f32>,
-    b: Vec<f32>,
+    pub(crate) w: Vec<f32>,
+    pub(crate) b: Vec<f32>,
+    #[serde(skip)]
     gw: Vec<f32>,
+    #[serde(skip)]
     gb: Vec<f32>,
     #[serde(skip)]
     cache_input: Option<Matrix>,
@@ -573,10 +577,11 @@ impl Conv1d {
 /// The global model emits one selection probability per data segment; the
 /// learned shift keeps the probability monotone in the query threshold
 /// while letting each segment pick its own operating point (§5.1).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct ShiftSigmoid {
     dim: usize,
     t: Vec<f32>,
+    #[serde(skip)]
     gt: Vec<f32>,
     #[serde(skip)]
     cache_output: Option<Matrix>,
@@ -756,6 +761,125 @@ impl Layer {
         if let Layer::Dense(l) = self {
             l.apply_constraints();
         }
+    }
+}
+
+// A saved layer carries its weights but not its gradient accumulators,
+// which are zero between optimizer steps: decoding sizes them as zeros.
+// An empty accumulator would not do, as `backward` zips into it and the
+// zip would drop every gradient. Files that still carry the accumulators
+// load unchanged, their fields ignored. Decoding also checks that the
+// parameters fill the declared shape, so a malformed layer is a typed
+// error instead of a panic at its first forward pass.
+
+impl Deserialize for Dense {
+    fn deserialize(v: &Value) -> Result<Self, serde::Error> {
+        let m = v.expect_map("Dense")?;
+        let in_dim: usize = serde::get_field(m, "in_dim", "Dense")?;
+        let out_dim: usize = serde::get_field(m, "out_dim", "Dense")?;
+        let w: Matrix = serde::get_field(m, "w", "Dense")?;
+        let b: Vec<f32> = serde::get_field(m, "b", "Dense")?;
+        let constraint: WeightConstraint = serde::get_field(m, "constraint", "Dense")?;
+        let cols_fit = match &constraint {
+            WeightConstraint::NonNegativeCols(cols) => cols.len() == in_dim,
+            _ => true,
+        };
+        if (w.rows(), w.cols()) != (out_dim, in_dim) || b.len() != out_dim || !cols_fit {
+            return Err(serde::Error::msg(format!(
+                "Dense {in_dim} -> {out_dim} holds {}x{} weights and {} biases",
+                w.rows(),
+                w.cols(),
+                b.len()
+            )));
+        }
+        Ok(Dense {
+            in_dim,
+            out_dim,
+            w,
+            b,
+            gw: Matrix::zeros(out_dim, in_dim),
+            gb: vec![0.0; out_dim],
+            activation: serde::get_field(m, "activation", "Dense")?,
+            constraint,
+            cache_input: None,
+            cache_output: None,
+        })
+    }
+}
+
+impl Deserialize for Conv1d {
+    fn deserialize(v: &Value) -> Result<Self, serde::Error> {
+        let m = v.expect_map("Conv1d")?;
+        let field = |k: &str| serde::get_field::<usize>(m, k, "Conv1d");
+        let (in_channels, out_channels, kernel) = (
+            field("in_channels")?,
+            field("out_channels")?,
+            field("kernel")?,
+        );
+        let w: Vec<f32> = serde::get_field(m, "w", "Conv1d")?;
+        let b: Vec<f32> = serde::get_field(m, "b", "Conv1d")?;
+        let conv = Conv1d {
+            in_channels,
+            in_len: field("in_len")?,
+            out_channels,
+            kernel,
+            stride: field("stride")?,
+            padding: field("padding")?,
+            pool: serde::get_field(m, "pool", "Conv1d")?,
+            pool_size: field("pool_size")?,
+            activation: serde::get_field(m, "activation", "Conv1d")?,
+            gw: vec![0.0; w.len()],
+            gb: vec![0.0; b.len()],
+            w,
+            b,
+            cache_input: None,
+            cache_conv: None,
+            cache_argmax: None,
+        };
+        let weights = out_channels
+            .checked_mul(in_channels)
+            .and_then(|n| n.checked_mul(kernel));
+        // Every width a forward pass derives from the geometry must fit.
+        let extent = conv
+            .padding
+            .checked_mul(2)
+            .and_then(|p| p.checked_add(conv.in_len))
+            .and_then(|padded| padded.checked_add(1))
+            .and_then(|len| len.checked_mul(in_channels.max(out_channels)));
+        if weights != Some(conv.w.len())
+            || extent.is_none()
+            || conv.b.len() != out_channels
+            || conv.pool_size == 0
+            || conv.conv_len() == 0
+        {
+            return Err(serde::Error::msg(format!(
+                "Conv1d {in_channels} -> {out_channels} channels, kernel {kernel}, pool {} holds {} weights and {} biases, or yields no output",
+                conv.pool_size,
+                conv.w.len(),
+                conv.b.len()
+            )));
+        }
+        Ok(conv)
+    }
+}
+
+impl Deserialize for ShiftSigmoid {
+    fn deserialize(v: &Value) -> Result<Self, serde::Error> {
+        let m = v.expect_map("ShiftSigmoid")?;
+        let dim: usize = serde::get_field(m, "dim", "ShiftSigmoid")?;
+        let t: Vec<f32> = serde::get_field(m, "t", "ShiftSigmoid")?;
+        if t.len() != dim {
+            return Err(serde::Error::msg(format!(
+                "ShiftSigmoid of width {dim} holds {} thresholds",
+                t.len()
+            )));
+        }
+        Ok(ShiftSigmoid {
+            dim,
+            t,
+            gt: vec![0.0; dim],
+            cache_output: None,
+        })
     }
 }
 

@@ -25,6 +25,8 @@
 //!   model's learnable threshold before the sigmoid, §5.1),
 //! * [`net`] — [`net::Sequential`] stacks and the multi-branch
 //!   [`net::BranchNet`] (the E1/E2/E3 → F composition of Fig. 2),
+//! * [`lanes`] — [`lanes::LaneNet`]: nets of one architecture packed as
+//!   the lanes of one vectorized forward pass (the GL locals),
 //! * [`loss`] — the paper's hybrid MAPE + λ·Q-error regression loss
 //!   (§3.1) and the cardinality-weighted BCE loss of the global model
 //!   (§3.3),
@@ -73,6 +75,7 @@ pub mod artifact;
 pub mod faults;
 pub mod gemm;
 pub mod init;
+pub mod lanes;
 pub mod layers;
 pub mod loss;
 pub mod metrics;
@@ -85,6 +88,7 @@ pub mod trainer;
 
 pub use activation::Activation;
 pub use artifact::ArtifactError;
+pub use lanes::{LaneError, LaneNet, LaneScratch};
 pub use layers::{Conv1d, Dense, Layer, PoolOp, WeightConstraint};
 pub use loss::{hybrid_loss, weighted_bce_loss, HybridLoss};
 pub use metrics::{decode_log_card, mape, q_error, ErrorSummary};

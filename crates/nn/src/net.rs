@@ -196,6 +196,16 @@ impl BranchNet {
         &self.in_dims
     }
 
+    /// The embedding branches, in input order.
+    pub fn branches(&self) -> &[Sequential] {
+        &self.branches
+    }
+
+    /// The head that reads the concatenated branch outputs.
+    pub fn head(&self) -> &Sequential {
+        &self.head
+    }
+
     /// Width of the concatenated embedding entering the head.
     pub fn concat_dim(&self) -> usize {
         self.branch_out_dims.iter().sum()

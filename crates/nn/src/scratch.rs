@@ -6,7 +6,7 @@
 //! caller-owned [`Scratch`] workspace through every layer: the model stays
 //! shared (`&self`, hence `Sync`), and the per-call allocations are
 //! recycled across calls. One `Scratch` per thread is the intended pattern
-//! (e.g. one per scoped worker in the batched GL estimator).
+//! (e.g. one per worker of a training fan-out).
 
 use crate::tensor::Matrix;
 
@@ -74,8 +74,7 @@ thread_local! {
 
 /// Runs `f` with this thread's shared [`Scratch`] pool. Estimators use this
 /// so `estimate(&self, ..)` needs no workspace argument: each OS thread
-/// (including each scoped worker in the batched GL path) gets its own pool,
-/// reused across calls.
+/// gets its own pool, reused across calls.
 ///
 /// # Panics
 /// Panics on re-entrant use from within `f` (the pool is singly borrowed);

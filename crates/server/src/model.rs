@@ -1,11 +1,11 @@
 //! Loaded serving models and the owned query codec.
 //!
 //! An artifact file names its estimator family in the (checksummed)
-//! container header; [`LoadedModel::load`] verifies the whole container
-//! first (`cardest_nn::artifact::read_kind`), then dispatches to the
-//! matching family's `load_artifact`. The enum is monomorphic dispatch in
-//! the same spirit as the kernel crates: no trait objects on the
-//! per-request path.
+//! container header; [`LoadedModel::load`] reads and verifies the whole
+//! container once (`cardest_nn::artifact::read_any`), then hands the
+//! payload to the matching family's `decode_artifact`. The enum is
+//! monomorphic dispatch in the same spirit as the kernel crates: no trait
+//! objects on the per-request path.
 
 use cardest_baselines::cardnet::{CardNet, CARDNET_ARTIFACT_KIND};
 use cardest_baselines::mlp::{MlpEstimator, MLP_ARTIFACT_KIND};
@@ -31,11 +31,11 @@ impl LoadedModel {
     /// surfaces as a typed [`ReloadError::Artifact`], never as a
     /// half-parsed model.
     pub fn load(path: &Path) -> Result<(Self, String), ReloadError> {
-        let kind = artifact::read_kind(path)?;
+        let (kind, payload) = artifact::read_any(path)?;
         let model = match kind.as_str() {
-            MLP_ARTIFACT_KIND => LoadedModel::Mlp(MlpEstimator::load_artifact(path)?),
-            CARDNET_ARTIFACT_KIND => LoadedModel::CardNet(CardNet::load_artifact(path)?),
-            GL_ARTIFACT_KIND => LoadedModel::Gl(GlEstimator::load_artifact(path)?),
+            MLP_ARTIFACT_KIND => LoadedModel::Mlp(MlpEstimator::decode_artifact(&payload)?),
+            CARDNET_ARTIFACT_KIND => LoadedModel::CardNet(CardNet::decode_artifact(&payload)?),
+            GL_ARTIFACT_KIND => LoadedModel::Gl(GlEstimator::decode_artifact(&payload)?),
             other => return Err(ReloadError::UnsupportedKind(other.to_string())),
         };
         Ok((model, kind))

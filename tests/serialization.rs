@@ -91,6 +91,66 @@ fn metric_and_spec_roundtrip() {
 }
 
 #[test]
+fn layers_save_no_gradient_accumulators_and_decode_them_sized() {
+    use cardest::nn::layers::{Conv1d, ConvSpec, Dense, Layer, PoolOp};
+    use cardest::nn::{Activation, Matrix};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    let mut rng = StdRng::seed_from_u64(6);
+    let spec = ConvSpec {
+        out_channels: 2,
+        kernel: 3,
+        stride: 1,
+        padding: 1,
+        pool_size: 2,
+        pool: PoolOp::Max,
+    };
+    let layers = [
+        Layer::Dense(Dense::new(&mut rng, 6, 4, Activation::Relu)),
+        Layer::Conv1d(Conv1d::new(&mut rng, 2, 3, spec, Activation::Tanh)),
+    ];
+    for layer in layers {
+        let json = serde_json::to_string(&layer).expect("serialize layer");
+        assert!(
+            !json.contains("\"gw\"") && !json.contains("\"gb\""),
+            "{json}"
+        );
+        // A file written before the accumulators were dropped still loads:
+        // the fields are ignored, whatever they hold.
+        let (variant, fields) = json.split_at(json.find(":{").expect("a variant map") + 2);
+        let old = format!("{variant}\"gw\":[0.0],\"gb\":[0.0],{fields}");
+        for text in [json.as_str(), old.as_str()] {
+            let mut back: Layer = serde_json::from_str(text).expect("deserialize layer");
+            // Every accumulator is sized like its parameter, so backward
+            // accumulates into all of it.
+            for p in back.params_mut() {
+                assert_eq!(p.grads.len(), p.values.len());
+            }
+            let x = Matrix::from_vec(2, 6, (0..12).map(|i| i as f32 / 12.0 - 0.3).collect());
+            let y = back.forward(&x);
+            back.backward(&y);
+            assert!(back
+                .params_mut()
+                .iter()
+                .any(|p| p.grads.iter().any(|g| *g != 0.0)));
+        }
+        // Parameters that do not fill the declared shape, or a geometry
+        // whose widths overflow, are decode errors rather than panics.
+        for (field, bad) in [
+            ("\"out_dim\":4", "\"out_dim\":5"),
+            ("\"padding\":1", "\"padding\":9223372036854775807"),
+            ("\"pool_size\":2", "\"pool_size\":0"),
+        ] {
+            if json.contains(field) {
+                let broken = json.replace(field, bad);
+                assert!(serde_json::from_str::<Layer>(&broken).is_err(), "{broken}");
+            }
+        }
+    }
+}
+
+#[test]
 fn trained_layers_roundtrip_with_fresh_caches() {
     use cardest::nn::layers::{Dense, Layer};
     use cardest::nn::{Activation, Matrix};
