@@ -30,7 +30,8 @@ fn bench(c: &mut Criterion) {
     );
     let jcfg = JoinConfig::for_variant(JoinVariant::GlJoin);
     let join_model =
-        JoinEstimator::from_search_model(gl.clone(), &ctx.search.queries, &jw.train, &jcfg);
+        JoinEstimator::from_search_model(gl.clone(), &ctx.search.queries, &jw.train, &jcfg)
+            .expect("join fine-tuning moves weights, never shapes");
 
     // A 200-member set from the test pool (with replacement).
     let n_train = ctx.search.n_train_queries;

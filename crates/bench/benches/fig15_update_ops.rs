@@ -49,7 +49,10 @@ fn bench(c: &mut Criterion) {
                 .collect();
             cursor += 7;
             let pts = live.data().gather(&ids);
-            black_box(live.insert(&pts, true))
+            black_box(
+                live.insert(&pts, true)
+                    .expect("fine-tuning moves weights, never shapes"),
+            )
         })
     });
     group.bench_function("insert 10 records, labels only", |b| {
@@ -59,7 +62,10 @@ fn bench(c: &mut Criterion) {
                 .collect();
             cursor += 7;
             let pts = live.data().gather(&ids);
-            black_box(live.insert(&pts, false))
+            black_box(
+                live.insert(&pts, false)
+                    .expect("fine-tuning moves weights, never shapes"),
+            )
         })
     });
     group.finish();

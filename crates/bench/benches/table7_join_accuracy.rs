@@ -29,7 +29,8 @@ fn bench(c: &mut Criterion) {
         &ctx.search.table,
         &jw.train,
         &jcfg,
-    );
+    )
+    .expect("join fine-tuning moves weights, never shapes");
 
     // Print the miniature Table 7 row once.
     let pairs: Vec<(f32, f32)> = jw.test_buckets[0]

@@ -241,7 +241,7 @@ fn debug_gl(opts: &Options) {
         let (_, n) = gl.estimate_with_stats(ctx.search.queries.view(s.query), s.tau);
         sel_hist[n] += 1;
     }
-    println!("selection histogram (index = #locals evaluated): {sel_hist:?}");
+    println!("selection histogram (index = #locals selected): {sel_hist:?}");
 }
 
 fn main() {

@@ -67,7 +67,8 @@ pub fn run_updates(scale: Scale, seed: u64) -> UpdateRun {
             .map(|_| rng.gen_range(0..base_len))
             .collect();
         let points = upd_points(&upd, &ids);
-        upd.insert(&points, true);
+        upd.insert(&points, true)
+            .expect("fine-tuning moves weights, never shapes");
         if op % checkpoint_every == 0 {
             checkpoints.push((op, upd.mean_test_q_error()));
         }

@@ -121,7 +121,8 @@ pub fn run_dataset(ctx: &DatasetContext, scale: Scale) -> JoinDatasetResults {
         &ctx.search.queries,
         &jw.train,
         &jcfg_plus,
-    );
+    )
+    .expect("join fine-tuning moves weights, never shapes");
     results.push(measure("GLJoin+", &gljoin_plus));
 
     // GL+ evaluated per member query (search model as join baseline).
@@ -147,7 +148,8 @@ pub fn run_dataset(ctx: &DatasetContext, scale: Scale) -> JoinDatasetResults {
         &ctx.search.table,
         &jw.train,
         &jcfg,
-    );
+    )
+    .expect("join fine-tuning moves weights, never shapes");
     results.push(measure("GLJoin", &gljoin));
 
     // CNNJoin (QES base, sum pooling, no data segmentation).
@@ -162,7 +164,8 @@ pub fn run_dataset(ctx: &DatasetContext, scale: Scale) -> JoinDatasetResults {
         &ctx.search.table,
         &jw.train,
         &jcfg_cnn,
-    );
+    )
+    .expect("join fine-tuning moves weights, never shapes");
     results.push(measure("CNNJoin", &cnnjoin));
 
     // CardNet per-query baseline.

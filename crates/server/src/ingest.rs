@@ -328,7 +328,11 @@ impl IngestService {
     fn finetune_and_persist(&self, segments: &[usize]) -> Result<usize, StoreError> {
         let mut guard = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         let inner = &mut *guard;
-        inner.store.estimator_mut().finetune(segments);
+        inner
+            .store
+            .estimator_mut()
+            .finetune(segments)
+            .map_err(|e| StoreError::Io(format!("fine-tuned locals: {e}")))?;
         inner
             .store
             .estimator()

@@ -43,7 +43,8 @@ fn main() {
         &workload.table,
         &joins.train,
         &cfg,
-    );
+    )
+    .expect("join fine-tuning moves weights, never shapes");
 
     // Triage incoming upload batches: estimate the duplicate-pair count
     // per batch, send suspicious batches to exact dedup.

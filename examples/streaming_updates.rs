@@ -59,7 +59,9 @@ fn main() {
     for op in 1..=10 {
         let ids: Vec<usize> = (0..10).map(|_| rng.gen_range(0..data.len())).collect();
         let points = live.data().gather(&ids);
-        let affected = live.insert(&points, true);
+        let affected = live
+            .insert(&points, true)
+            .expect("fine-tuning moves weights, never shapes");
         println!(
             "op {op:>2}: inserted 10 records into segments {:?}; mean test Q-error {:.2}",
             affected,

@@ -61,7 +61,8 @@ fn join_variants_beat_zero_baseline() {
             &w.table,
             &j.train,
             &fast_join(variant),
-        );
+        )
+        .unwrap();
         let errs: Vec<f32> = j.test_buckets[0]
             .iter()
             .map(|s| {
@@ -96,7 +97,8 @@ fn search_model_transfers_to_join_setting() {
         &w.queries,
         &j.train,
         &fast_join(JoinVariant::GlJoinPlus),
-    );
+    )
+    .unwrap();
     assert_eq!(join.name(), "GLJoin+");
     for set in j.test_buckets.iter().flatten().take(6) {
         let e = join.estimate_join_batched(&w.queries, &set.query_ids, set.tau);

@@ -69,7 +69,8 @@ fn join_finetune_is_thread_count_independent() {
     let estimates = |threads: usize| -> Vec<f32> {
         let mut cfg = JoinConfig::for_variant(JoinVariant::GlJoin);
         cfg.base = gl_cfg(threads);
-        let est = JoinEstimator::from_search_model(base.clone(), &w.queries, &j.train, &cfg);
+        let est =
+            JoinEstimator::from_search_model(base.clone(), &w.queries, &j.train, &cfg).unwrap();
         j.test_buckets[0]
             .iter()
             .map(|s| est.estimate_join_batched(&w.queries, &s.query_ids, s.tau))

@@ -47,7 +47,7 @@ fn trained_updatable(seed: u64) -> (UpdatableGl, DatasetSpec) {
 fn patched_labels_match_full_recount() {
     let (mut upd, spec) = trained_updatable(401);
     let inserts = upd.data().gather(&[1, 2, 3, 5, 8, 13]);
-    upd.insert(&inserts, false);
+    upd.insert(&inserts, false).unwrap();
     // Recount: distances from each test query to the grown dataset.
     let grown = upd.data().clone();
     for s in upd.test_samples().iter().take(30) {
@@ -74,7 +74,7 @@ fn upd_query<'a>(upd: &'a UpdatableGl, q: usize) -> VectorView<'a> {
 fn index_rebuild_after_growth_is_exact() {
     let (mut upd, spec) = trained_updatable(402);
     let inserts = upd.data().gather(&[0, 10, 20, 30]);
-    upd.insert(&inserts, false);
+    upd.insert(&inserts, false).unwrap();
     let grown = upd.data().clone();
     let index = PivotIndex::build(&grown, spec.metric, 8, 402);
     for q in [0usize, 50, 100] {
@@ -94,7 +94,7 @@ fn deletions_patch_labels_exactly() {
     let (mut upd, spec) = trained_updatable(404);
     let victims = [3usize, 7, 42, 100, 250];
     let before_total = upd.dataset_len();
-    let affected = upd.delete(&victims, false);
+    let affected = upd.delete(&victims, false).unwrap();
     assert!(!affected.is_empty());
     assert_eq!(
         upd.dataset_len(),
@@ -106,7 +106,7 @@ fn deletions_patch_labels_exactly() {
         assert!(upd.is_deleted(v));
     }
     // Deleting again is a no-op.
-    let again = upd.delete(&victims, false);
+    let again = upd.delete(&victims, false).unwrap();
     assert!(again.is_empty());
     // Labels match a recount over live rows.
     let grown = upd.data().clone();
@@ -132,8 +132,8 @@ fn deletions_patch_labels_exactly() {
 fn mixed_insert_delete_cycles() {
     let (mut upd, _) = trained_updatable(405);
     let pts = upd.data().gather(&[0, 1, 2]);
-    upd.insert(&pts, true);
-    upd.delete(&[0, 1], true);
+    upd.insert(&pts, true).unwrap();
+    upd.delete(&[0, 1], true).unwrap();
     let err = upd.mean_test_q_error();
     assert!(err.is_finite(), "q-error became {err}");
     assert_eq!(upd.live_len(), upd.dataset_len() - 2);
@@ -147,7 +147,7 @@ fn repeated_update_cycles_stay_finite() {
     for i in 0..4 {
         let ids: Vec<usize> = (0..5).map(|k| (i * 31 + k * 7) % 450).collect();
         let pts = upd.data().gather(&ids);
-        upd.insert(&pts, true);
+        upd.insert(&pts, true).unwrap();
         let err = upd.mean_test_q_error();
         assert!(err.is_finite(), "mean Q-error became {err} after cycle {i}");
     }
