@@ -42,7 +42,17 @@
 #                  artifact path;
 #                - its set-up saves the served model with
 #                  `GlEstimator::save_artifact` and records the file's
-#                  `artifact_digest` with `cardest_nn::artifact::fnv1a64`.
+#                  `artifact_digest` with `cardest_nn::artifact::fnv1a64`;
+#                - its set-up trains through `Segmentation::fit`,
+#                  `SegmentLabels::compute` and
+#                  `GlEstimator::train_with_segmentation(data, metric,
+#                  training, segmentation, labels, cfg)`, whose `Metric`
+#                  argument is unused but stays;
+#                - its twins and workload read
+#                  `GlEstimator::{estimate_batch_with_stats, segmentation,
+#                  global, tau_scale, n_segments}`,
+#                  `Segmentation::centroid_distances_into` and
+#                  `GlobalModel::sigma`.
 #                perfbench changes only together with the benchmark
 #                contract, so a change to any of these waits for such a
 #                change instead of failing here. `--locked` holds it to

@@ -6,6 +6,7 @@ use cardest_baselines::traits::TrainingSet;
 use cardest_bench::context::{DatasetContext, Scale};
 use cardest_cluster::segmentation::{Segmentation, SegmentationConfig, SegmentationMethod};
 use cardest_core::arch::QueryEmbed;
+use cardest_core::gl::{build_feature_caches, SampleInputs};
 use cardest_core::global::{missing_rate, GlobalConfig, GlobalModel};
 use cardest_core::labels::SegmentLabels;
 use cardest_data::paper::PaperDataset;
@@ -26,7 +27,8 @@ fn bench(c: &mut Criterion) {
         },
     );
     let labels = SegmentLabels::compute(&ctx.search.table, &ctx.search.train, &seg);
-    let (xq, xc) = cardest_core::gl::build_feature_caches(&ctx.search.queries, &seg);
+    let (xq, xc) = build_feature_caches(&ctx.search.queries, &seg);
+    let inputs = SampleInputs::new(&ctx.search.train, &xq, &xc, &seg);
     let training = TrainingSet::new(&ctx.search.queries, &ctx.search.train);
 
     // One-shot missing rates.
@@ -39,7 +41,7 @@ fn bench(c: &mut Criterion) {
             },
             ..GlobalConfig::new(QueryEmbed::default_cnn(ctx.spec.dim, 8))
         };
-        let (g, _) = GlobalModel::train(&training, &labels, &xq, &xc, &cfg, 42);
+        let (g, _) = GlobalModel::train(&inputs, &labels, &cfg, 42);
         let rate = missing_rate(&g, &training, &labels, &xq, &xc);
         eprintln!("[fig9/smoke/ImageNET] penalty={penalty}: missing rate {rate:.3}");
     }
@@ -62,7 +64,7 @@ fn bench(c: &mut Criterion) {
                     },
                     ..GlobalConfig::new(QueryEmbed::Mlp { hidden: 16 })
                 };
-                black_box(GlobalModel::train(&training, &labels, &xq, &xc, &cfg, 42))
+                black_box(GlobalModel::train(&inputs, &labels, &cfg, 42))
             })
         });
     }

@@ -6,6 +6,7 @@ use crate::report::{fmt3, Table};
 use cardest_baselines::traits::TrainingSet;
 use cardest_cluster::segmentation::{Segmentation, SegmentationConfig, SegmentationMethod};
 use cardest_core::arch::QueryEmbed;
+use cardest_core::gl::{build_feature_caches, SampleInputs};
 use cardest_core::global::{missing_rate, GlobalConfig, GlobalModel};
 use cardest_core::labels::SegmentLabels;
 use cardest_data::paper::PaperDataset;
@@ -32,8 +33,8 @@ pub fn run_dataset(ctx: &DatasetContext, scale: Scale) -> PenaltyResult {
     );
     let train_labels = SegmentLabels::compute(&ctx.search.table, &ctx.search.train, &seg);
     let test_labels = SegmentLabels::compute(&ctx.search.table, &ctx.search.test, &seg);
-    let (xq, xc) = cardest_core::gl::build_feature_caches(&ctx.search.queries, &seg);
-    let training = TrainingSet::new(&ctx.search.queries, &ctx.search.train);
+    let (xq, xc) = build_feature_caches(&ctx.search.queries, &seg);
+    let inputs = SampleInputs::new(&ctx.search.train, &xq, &xc, &seg);
     let testing = TrainingSet::new(&ctx.search.queries, &ctx.search.test);
 
     let epochs = match scale {
@@ -51,7 +52,7 @@ pub fn run_dataset(ctx: &DatasetContext, scale: Scale) -> PenaltyResult {
             },
             ..GlobalConfig::new(QueryEmbed::default_cnn(ctx.spec.dim, 8))
         };
-        let (g, _) = GlobalModel::train(&training, &train_labels, &xq, &xc, &cfg, ctx.seed);
+        let (g, _) = GlobalModel::train(&inputs, &train_labels, &cfg, ctx.seed);
         missing_rate(&g, &testing, &test_labels, &xq, &xc)
     };
     PenaltyResult {

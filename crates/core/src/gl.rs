@@ -34,7 +34,6 @@ use cardest_nn::metrics::decode_log_card;
 use cardest_nn::net::BranchNet;
 use cardest_nn::parallel::{fan_exclusive, train_threads};
 use cardest_nn::scratch::with_thread_scratch;
-use cardest_nn::tensor::dot;
 use cardest_nn::trainer::{train_branch_regression, TrainConfig};
 use cardest_nn::{Matrix, Scratch};
 use rand::rngs::StdRng;
@@ -240,16 +239,9 @@ impl GlEstimator {
         cfg: &GlConfig,
     ) -> Self {
         let dim = data.dim();
-        let n_segments = segmentation.n_segments();
-        let tau_scale = training
-            .samples
-            .iter()
-            .map(|s| s.tau)
-            .fold(0.0f32, f32::max)
-            .max(1e-6);
-
-        // Per-query feature caches shared by every phase.
+        // Every phase reads the samples through one input builder.
         let (xq_cache, xc_cache) = build_feature_caches(training.queries, &segmentation);
+        let inputs = SampleInputs::new(training.samples, &xq_cache, &xc_cache, &segmentation);
 
         // Query embedding: MLP, default CNN, or tuned CNN (Algorithm 3).
         let query_embed = match cfg.variant {
@@ -257,47 +249,31 @@ impl GlEstimator {
                 hidden: cfg.dims.embed_q * 2,
             },
             GlVariant::GlCnn => QueryEmbed::default_cnn(dim, cfg.n_query_segments),
-            GlVariant::GlPlus | GlVariant::LocalPlus => {
-                tune_shared_embedding(dim, n_segments, training, labels, &xq_cache, &xc_cache, cfg)
-            }
+            GlVariant::GlPlus | GlVariant::LocalPlus => tune_shared_embedding(&inputs, labels, cfg),
         };
 
         // Phase 1: one local regressor per segment.
-        let radii: Vec<f32> = (0..n_segments).map(|i| segmentation.radius(i)).collect();
-        let inputs = SampleInputs {
-            samples: training.samples,
-            xq_cache: &xq_cache,
-            xc_cache: &xc_cache,
-            radii: radii.clone(),
-            tau_scale,
-        };
-        let locals = train_locals(dim, &inputs, labels, &query_embed, cfg);
+        let locals = train_locals(&inputs, labels, &query_embed, cfg);
 
         // Phase 2: the global discriminative model.
-        let global = if cfg.variant.uses_global() {
+        let global = cfg.variant.uses_global().then(|| {
             let gcfg = GlobalConfig {
                 query_embed: query_embed.clone(),
                 dims: cfg.dims,
                 sigma: cfg.sigma,
                 penalty: cfg.penalty,
-                tau_scale,
-                radii: radii.clone(),
                 train: cfg.global_train,
             };
-            let (g, _) =
-                GlobalModel::train(training, labels, &xq_cache, &xc_cache, &gcfg, cfg.seed);
-            Some(g)
-        } else {
-            None
-        };
+            GlobalModel::train(&inputs, labels, &gcfg, cfg.seed).0
+        });
 
         let mut gl = GlEstimator {
             variant: cfg.variant,
             segmentation,
             locals,
             global,
-            tau_scale,
-            radii,
+            tau_scale: inputs.tau_scale,
+            radii: inputs.radii,
             max_local_samples: cfg.max_local_samples,
             lanes: None,
         };
@@ -359,7 +335,8 @@ impl GlEstimator {
     }
 
     /// Labelled samples as this model sees them: the per-query caches
-    /// ([`build_feature_caches`]) with the trained radii and τ scale.
+    /// ([`build_feature_caches`]) with the trained radii and τ scale,
+    /// whatever updates did to the segmentation since.
     pub(crate) fn sample_inputs<'a>(
         &self,
         samples: &'a [SearchSample],
@@ -574,11 +551,6 @@ impl GlEstimator {
             selected[r * n_seg + nearest] = true;
         }
 
-        // Per segment, the rows that selected it.
-        let groups: Vec<Vec<usize>> = (0..n_seg)
-            .map(|i| (0..b).filter(|&r| selected[r * n_seg + i]).collect())
-            .collect();
-
         // Per query and lane group, one lane pass, or the selected locals
         // queued for their own forward passes; then each local's queued
         // rows, a few at a time.
@@ -627,16 +599,7 @@ impl GlEstimator {
                 }
             }
         });
-        let seg_preds = groups
-            .iter()
-            .enumerate()
-            .map(|(seg, rows)| rows.iter().map(|&r| raw[r * n_seg + seg]).collect())
-            .collect();
-        LocalOutputs {
-            len: b,
-            groups,
-            seg_preds,
-        }
+        LocalOutputs { selected, raw }
     }
 
     /// The cap-dependent half of [`GlEstimator::estimate_batch_with_stats`]:
@@ -644,50 +607,49 @@ impl GlEstimator {
     /// drops contributions below the 0.5 cut and falls back to the largest
     /// single one. Returns per-query estimates and local counts.
     pub(crate) fn sum_local_outputs(&self, outputs: &LocalOutputs) -> Vec<(f32, usize)> {
-        let b = outputs.len;
-        // Accumulate per query in ascending segment order (identical to the
-        // sequential evaluation order).
-        let mut totals = vec![0.0f32; b];
-        let mut max_single = vec![0.0f32; b];
-        let mut evaluated = vec![0usize; b];
-        for (i, (rows, preds)) in outputs.groups.iter().zip(&outputs.seg_preds).enumerate() {
-            let cap = self.segmentation.members(i).len() as f32;
-            for (&r, &o) in rows.iter().zip(preds) {
-                evaluated[r] += 1;
-                let est = decode_log_card(o, cap);
-                max_single[r] = max_single[r].max(est);
+        let n_seg = self.locals.len().max(1);
+        let rows = outputs
+            .selected
+            .chunks(n_seg)
+            .zip(outputs.raw.chunks(n_seg));
+        rows.map(|(sel, raw)| {
+            // Ascending segment order, as a sequential evaluation sums.
+            let (mut total, mut max_single, mut evaluated) = (0.0f32, 0.0f32, 0);
+            for (seg, (_, &o)) in sel.iter().zip(raw).enumerate().filter(|(_, (&s, _))| s) {
+                evaluated += 1;
+                let est = decode_log_card(o, self.segmentation.members(seg).len() as f32);
+                max_single = max_single.max(est);
                 if est >= 0.5 {
-                    totals[r] += est;
+                    total += est;
                 }
             }
-        }
-        // If every contribution fell below the rounding cut, fall back to
-        // the largest single one rather than answering a hard zero.
-        totals
-            .into_iter()
-            .zip(max_single)
-            .zip(evaluated)
+            // If every contribution fell below the rounding cut, fall back
+            // to the largest single one rather than answering a hard zero.
             // cardest-lint: allow(float-total-order): exact zero sentinel for "no segment answered"; totals are sums of exact zeros
-            .map(|((t, m), n)| (if t == 0.0 { m } else { t }, n))
-            .collect()
+            let est = if total == 0.0 { max_single } else { total };
+            (est, evaluated)
+        })
+        .collect()
     }
 
     /// A query batch's model inputs, assembled once for the whole batch.
+    /// Each row is built as training builds a sample's: the centroid
+    /// distances run the metric kernel of [`build_feature_caches`] on the
+    /// dense `x_q` row, so served and trained features are the same bits.
     pub(crate) fn batch_inputs(&self, queries: &[(VectorView<'_>, f32)]) -> BatchInputs {
         let b = queries.len();
         let n_seg = self.locals.len();
         let dim = self.locals[0].in_dims()[0];
         let mut xq = Matrix::zeros(b, dim);
-        let mut qbuf: Vec<f32> = Vec::with_capacity(dim);
-        for (r, &(q, _)) in queries.iter().enumerate() {
-            q.write_dense(&mut qbuf);
-            xq.row_mut(r).copy_from_slice(&qbuf);
-        }
         let mut xcd = Matrix::zeros(b, n_seg);
-        batched_centroid_distances(&self.segmentation, queries, &xq, &mut xcd);
         let mut xt = Matrix::zeros(b, TAU_DIM);
         let mut aux = Matrix::zeros(b, 2 * n_seg);
-        for (r, &(_, tau)) in queries.iter().enumerate() {
+        let mut qbuf: Vec<f32> = Vec::with_capacity(dim);
+        for (r, &(q, tau)) in queries.iter().enumerate() {
+            q.write_dense(&mut qbuf);
+            xq.row_mut(r).copy_from_slice(&qbuf);
+            self.segmentation
+                .centroid_distances_into(VectorView::Dense(&qbuf), xcd.row_mut(r));
             xt.row_mut(r)
                 .copy_from_slice(&tau_features(tau, self.tau_scale));
             aux_features_into(xcd.row(r), &self.radii, tau, aux.row_mut(r));
@@ -763,55 +725,6 @@ pub fn aux_features_into(xc: &[f32], radii: &[f32], tau: f32, out: &mut [f32]) {
     }
 }
 
-/// Batched centroid distances: row `r` matches
-/// `segmentation.centroid_distances(queries[r].0)` up to floating-point
-/// reassociation. Hamming on binary queries and L2 reduce to dot products
-/// against precomputed centroid transforms; other metrics fall back to
-/// the per-row path.
-fn batched_centroid_distances(
-    seg: &Segmentation,
-    queries: &[(VectorView<'_>, f32)],
-    xq: &Matrix,
-    xcd: &mut Matrix,
-) {
-    let n_seg = seg.n_segments();
-    let dim = xq.cols() as f32;
-    let all_binary = queries
-        .iter()
-        .all(|&(q, _)| matches!(q, VectorView::Binary { .. }));
-    match seg.metric() {
-        // |q_j − c_j| = c_j + q_j·(1 − 2·c_j) on 0/1 coordinates, so each
-        // distance is one dot against the transformed centroid.
-        Metric::Hamming if all_binary => {
-            for i in 0..n_seg {
-                let c = seg.centroid(i);
-                let sum_c: f32 = c.iter().sum();
-                let t: Vec<f32> = c.iter().map(|&v| 1.0 - 2.0 * v).collect();
-                for r in 0..xq.rows() {
-                    xcd.row_mut(r)[i] = (sum_c + dot(xq.row(r), &t)) / dim;
-                }
-            }
-        }
-        // ‖q − c‖² = q·q − 2·q·c + c·c (clamped against rounding).
-        Metric::L2 => {
-            let qq: Vec<f32> = (0..xq.rows()).map(|r| dot(xq.row(r), xq.row(r))).collect();
-            for i in 0..n_seg {
-                let c = seg.centroid(i);
-                let cc = dot(c, c);
-                for (r, &qr) in qq.iter().enumerate() {
-                    let d2 = qr + cc - 2.0 * dot(xq.row(r), c);
-                    xcd.row_mut(r)[i] = d2.max(0.0).sqrt();
-                }
-            }
-        }
-        _ => {
-            for (r, &(q, _)) in queries.iter().enumerate() {
-                xcd.row_mut(r).copy_from_slice(&seg.centroid_distances(q));
-            }
-        }
-    }
-}
-
 /// Dense query vectors and centroid-distance features for every query in
 /// the workload (train + test).
 pub fn build_feature_caches(
@@ -832,18 +745,13 @@ pub fn build_feature_caches(
 
 /// Runs Algorithm 3 on the largest segments and returns the best shared
 /// query-embedding configuration.
-#[allow(clippy::too_many_arguments)]
 fn tune_shared_embedding(
-    dim: usize,
-    n_segments: usize,
-    training: &TrainingSet<'_>,
+    inputs: &SampleInputs<'_>,
     labels: &SegmentLabels,
-    xq_cache: &[Vec<f32>],
-    xc_cache: &[Vec<f32>],
     cfg: &GlConfig,
 ) -> QueryEmbed {
     // Largest segments are the most informative tuning targets.
-    let mut seg_sizes: Vec<(usize, f32)> = (0..n_segments)
+    let mut seg_sizes: Vec<(usize, f32)> = (0..labels.n_segments())
         .map(|i| {
             let mass: f32 = (0..labels.n_samples()).map(|j| labels.card(j, i)).sum();
             (i, mass)
@@ -852,15 +760,11 @@ fn tune_shared_embedding(
     seg_sizes.sort_by(|a, b| b.1.total_cmp(&a.1));
     let mut best: Option<(f32, QueryEmbed)> = None;
     for &(seg, _) in seg_sizes.iter().take(cfg.tuning_segments.max(1)) {
-        let targets: Vec<f32> = (0..labels.n_samples())
-            .map(|j| labels.card(j, seg))
-            .collect();
         let (embed, err) = tune_query_embedding(
-            dim,
-            training,
-            &targets,
-            xq_cache,
-            xc_cache,
+            inputs,
+            labels,
+            seg,
+            &cfg.dims,
             &cfg.tuning,
             cfg.seed.wrapping_add(seg as u64),
         );
@@ -869,19 +773,17 @@ fn tune_shared_embedding(
         }
     }
     best.map(|(_, e)| e)
-        .unwrap_or_else(|| QueryEmbed::default_cnn(dim, cfg.n_query_segments))
+        .unwrap_or_else(|| QueryEmbed::default_cnn(inputs.dim(), cfg.n_query_segments))
 }
 
 /// The weight-dependent half of a batch estimate
-/// ([`GlEstimator::local_outputs`]): which locals each query selected and
-/// their raw `ln card` outputs.
+/// ([`GlEstimator::local_outputs`]), row-major over queries × segments.
 pub(crate) struct LocalOutputs {
-    /// Queries in the batch.
-    pub(crate) len: usize,
-    /// Per segment, the batch rows that selected it, ascending.
-    pub(crate) groups: Vec<Vec<usize>>,
-    /// Per segment, the local's raw output for each of its rows.
-    pub(crate) seg_preds: Vec<Vec<f32>>,
+    /// Whether each query selected each local.
+    pub(crate) selected: Vec<bool>,
+    /// Each selected local's raw `ln card` output for the query; NaN
+    /// where it was not selected.
+    pub(crate) raw: Vec<f32>,
 }
 
 /// A query batch's model inputs as serving builds them: `x_q`, the raw
@@ -895,24 +797,59 @@ pub(crate) struct BatchInputs {
 }
 
 /// Labelled training samples as model inputs: the one batch assembly that
-/// local and global training, and fine-tuning after data updates, share.
-/// `x_q` and the centroid distances come from the per-query caches
-/// ([`build_feature_caches`]), the overlap features from `radii`.
-pub(crate) struct SampleInputs<'a> {
+/// local and global training, Algorithm 3's trials, and fine-tuning after
+/// data updates share. `x_q` and the centroid distances come from the
+/// per-query caches ([`build_feature_caches`]), the overlap features from
+/// the radii, and `x_τ` from the τ scale.
+pub struct SampleInputs<'a> {
     pub(crate) samples: &'a [SearchSample],
-    pub(crate) xq_cache: &'a [Vec<f32>],
-    pub(crate) xc_cache: &'a [Vec<f32>],
+    xq_cache: &'a [Vec<f32>],
+    xc_cache: &'a [Vec<f32>],
     pub(crate) radii: Vec<f32>,
     pub(crate) tau_scale: f32,
 }
 
-impl SampleInputs<'_> {
+impl<'a> SampleInputs<'a> {
+    /// Inputs for training on `samples`: the radii of `segmentation` and
+    /// the largest τ among the samples as the τ scale, which the trained
+    /// model then keeps.
+    pub fn new(
+        samples: &'a [SearchSample],
+        xq_cache: &'a [Vec<f32>],
+        xc_cache: &'a [Vec<f32>],
+        segmentation: &Segmentation,
+    ) -> Self {
+        let radii = (0..segmentation.n_segments())
+            .map(|i| segmentation.radius(i))
+            .collect();
+        let tau_scale = samples.iter().map(|s| s.tau).fold(0.0f32, f32::max);
+        SampleInputs {
+            samples,
+            xq_cache,
+            xc_cache,
+            radii,
+            tau_scale: tau_scale.max(1e-6),
+        }
+    }
+
+    /// Width of `x_q`.
+    pub(crate) fn dim(&self) -> usize {
+        self.xq_cache.first().map_or(0, Vec::len)
+    }
+
+    /// A fresh local regressor over these inputs: `x_q`, the τ basis and
+    /// the `2·n_seg` aux row, seeded by `seed`.
+    pub(crate) fn new_local(&self, embed: &QueryEmbed, dims: &ModelDims, seed: u64) -> BranchNet {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let aux = 2 * self.radii.len();
+        build_regressor(&mut rng, self.dim(), TAU_DIM, aux, embed, dims)
+    }
+
     /// `[x_q, x_τ, aux]` with one row per sample index in `rows`.
     pub(crate) fn inputs(&self, rows: &[usize]) -> Vec<Matrix> {
         let b = rows.len();
         let n_seg = self.radii.len();
-        let dim = self.xq_cache.first().map_or(0, Vec::len);
-        let mut xq = Matrix::zeros(b, dim);
+        let mut xq = Matrix::zeros(b, self.dim());
         let mut xt = Matrix::zeros(b, TAU_DIM);
         let mut aux = Matrix::zeros(b, 2 * n_seg);
         for (r, &j) in rows.iter().enumerate() {
@@ -949,7 +886,7 @@ fn local_sample_rows(
 
 /// Trains `net` (fresh, or warm when fine-tuning) for `tcfg`'s schedule on
 /// the `chosen` samples' `card^{j}[segment]` targets.
-fn fit_local(
+pub(crate) fn fit_local(
     net: &mut BranchNet,
     inputs: &SampleInputs<'_>,
     labels: &SegmentLabels,
@@ -971,7 +908,6 @@ fn fit_local(
 /// the tail). Each worker owns one `Scratch`; results are bit-identical to
 /// sequential training because every segment is trained from its own seed.
 fn train_locals(
-    dim: usize,
     inputs: &SampleInputs<'_>,
     labels: &SegmentLabels,
     query_embed: &QueryEmbed,
@@ -989,14 +925,13 @@ fn train_locals(
         .collect();
     let threads = cardest_nn::parallel::resolve_threads(cfg.local_train.threads);
     cardest_nn::parallel::parallel_largest_first(&weights, threads, |seg, scratch| {
-        train_one_local(dim, seg, inputs, labels, query_embed, cfg, scratch)
+        train_one_local(seg, inputs, labels, query_embed, cfg, scratch)
     })
 }
 
 /// Trains one local regressor on `card^{j}[segment]` targets, balancing
 /// zero-cardinality samples against positives.
 fn train_one_local(
-    dim: usize,
     segment: usize,
     inputs: &SampleInputs<'_>,
     labels: &SegmentLabels,
@@ -1009,15 +944,7 @@ fn train_one_local(
     let chosen = local_sample_rows(labels, segment, cfg.max_local_samples, &mut rng);
 
     let train_once = |init_seed: u64, scratch: &mut Scratch| {
-        let mut rng = StdRng::seed_from_u64(init_seed);
-        let mut net = build_regressor(
-            &mut rng,
-            dim,
-            TAU_DIM,
-            2 * labels.n_segments(),
-            query_embed,
-            &cfg.dims,
-        );
+        let mut net = inputs.new_local(query_embed, &cfg.dims, init_seed);
         let mut tcfg = cfg.local_train;
         tcfg.seed = init_seed;
         // The segment fan-out already owns the cores; nested gradient-shard
@@ -1196,7 +1123,6 @@ mod tests {
     fn lanes_match_every_local_for_each_gl_embedding() {
         // A tuned GL+ embedding, from Algorithm 3 on a tiny workload.
         let (data, w, spec) = tiny(104);
-        let training = TrainingSet::new(&w.queries, &w.train);
         let seg_cfg = SegmentationConfig {
             n_segments: 5,
             pca_rank: 8,
@@ -1205,14 +1131,14 @@ mod tests {
             seed: 104,
         };
         let segmentation = Segmentation::fit(&data, spec.metric, &seg_cfg);
+        let labels = SegmentLabels::compute(&w.table, &w.train, &segmentation);
         let (xq_cache, xc_cache) = build_feature_caches(&w.queries, &segmentation);
-        let targets: Vec<f32> = w.train.iter().map(|s| s.card).collect();
+        let inputs = SampleInputs::new(&w.train, &xq_cache, &xc_cache, &segmentation);
         let (tuned, _) = tune_query_embedding(
-            data.dim(),
-            &training,
-            &targets,
-            &xq_cache,
-            &xc_cache,
+            &inputs,
+            &labels,
+            0,
+            &ModelDims::default(),
             &TuningConfig::fast(),
             104,
         );
@@ -1246,11 +1172,10 @@ mod tests {
             })
             .collect();
         // Row `r`'s raw output from `seg`, if `r` selected it.
+        let n_seg = est.n_segments();
         let raw = |out: &LocalOutputs, r: usize, seg: usize| {
-            let rows = &out.groups[seg];
-            rows.iter()
-                .position(|&x| x == r)
-                .map(|i| out.seg_preds[seg][i].to_bits())
+            let k = r * n_seg + seg;
+            out.selected[k].then(|| out.raw[k].to_bits())
         };
         let batch = est.local_outputs(&queries);
         let mut rotated = queries.clone();
@@ -1262,7 +1187,7 @@ mod tests {
         let mut paths = [0; 2];
         for (r, q) in queries.iter().enumerate() {
             let alone = est.local_outputs(std::slice::from_ref(q));
-            let n_sel = alone.groups.iter().filter(|rows| !rows.is_empty()).count();
+            let n_sel = alone.selected.iter().filter(|&&s| s).count();
             paths[usize::from(n_sel > PER_LOCAL_MAX)] += 1;
             for seg in 0..est.n_segments() {
                 let Some(one) = raw(&alone, 0, seg) else {
@@ -1282,6 +1207,63 @@ mod tests {
             paths.iter().all(|&n| n > 0),
             "per-local, lane pass: {paths:?}"
         );
+    }
+
+    #[test]
+    fn served_features_equal_the_training_features() {
+        let datasets = [
+            PaperDataset::ImageNet,
+            PaperDataset::YouTube,
+            PaperDataset::GloVe300,
+            PaperDataset::Bms,
+        ];
+        for dataset in datasets {
+            let spec = DatasetSpec {
+                n_data: 600,
+                n_train_queries: 60,
+                n_test_queries: 20,
+                ..dataset.spec()
+            };
+            let data = spec.generate(106);
+            let w = SearchWorkload::build(&data, &spec, 106);
+            let seg_cfg = SegmentationConfig {
+                n_segments: 16,
+                seed: 106,
+                ..Default::default()
+            };
+            let segmentation = Segmentation::fit(&data, spec.metric, &seg_cfg);
+            let (xq, xc) = build_feature_caches(&w.queries, &segmentation);
+            let inputs = SampleInputs::new(&w.train, &xq, &xc, &segmentation);
+            // Serving's inputs read only the segmentation, the radii, the
+            // τ scale and the locals' widths, so untrained locals do.
+            let embed = QueryEmbed::Mlp { hidden: 8 };
+            let locals = (0..16)
+                .map(|s| inputs.new_local(&embed, &ModelDims::default(), s))
+                .collect();
+            let est = GlEstimator {
+                variant: GlVariant::GlCnn,
+                locals,
+                global: None,
+                tau_scale: inputs.tau_scale,
+                radii: inputs.radii.clone(),
+                max_local_samples: 0,
+                lanes: None,
+                segmentation,
+            };
+            let batch: Vec<(VectorView<'_>, f32)> = (0..w.queries.len())
+                .map(|q| (w.queries.view(q), 0.1))
+                .collect();
+            let served = est.batch_inputs(&batch);
+            let bits = |row: &[f32]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            for (q, want) in xc.iter().enumerate() {
+                assert_eq!(
+                    bits(served.xcd.row(q)),
+                    bits(want),
+                    "{dataset:?}, query {q}"
+                );
+                assert_eq!(served.xq.row(q), &xq[q][..], "{dataset:?}, query {q}");
+            }
+        }
     }
 
     #[test]

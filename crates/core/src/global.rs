@@ -38,11 +38,6 @@ pub struct GlobalConfig {
     /// Apply the cardinality penalty (`1 + ε`) to positive labels. `false`
     /// is the "No Penalty" ablation of Exp-6.
     pub penalty: bool,
-    /// Threshold normalizer for the expanded τ features.
-    pub tau_scale: f32,
-    /// Per-segment radii for the overlap features (see
-    /// [`crate::gl::aux_features_into`]).
-    pub radii: Vec<f32>,
     pub train: TrainConfig,
 }
 
@@ -53,8 +48,6 @@ impl GlobalConfig {
             dims: ModelDims::default(),
             sigma: 0.5,
             penalty: true,
-            tau_scale: 1.0,
-            radii: Vec::new(),
             train: TrainConfig::default(),
         }
     }
@@ -72,23 +65,16 @@ pub struct GlobalModel {
 
 impl GlobalModel {
     /// Trains the global model on per-segment selection labels
-    /// (Algorithm 2). `xq_cache`/`xc_cache` hold each training *query*'s
-    /// dense vector and centroid-distance feature.
+    /// (Algorithm 2) over `inputs`, whose radii and τ scale it keeps for
+    /// serving.
     pub fn train(
-        training: &TrainingSet<'_>,
+        inputs: &SampleInputs<'_>,
         labels: &SegmentLabels,
-        xq_cache: &[Vec<f32>],
-        xc_cache: &[Vec<f32>],
         cfg: &GlobalConfig,
         seed: u64,
     ) -> (Self, TrainReport) {
-        let dim = training.queries.dim();
+        let dim = inputs.dim();
         let n_segments = labels.n_segments();
-        let radii = if cfg.radii.len() == n_segments {
-            cfg.radii.clone()
-        } else {
-            vec![0.0; n_segments]
-        };
         let aux_dim = 2 * n_segments;
         let mut rng = StdRng::seed_from_u64(seed ^ 0x6_10B);
         let bq = build_query_branch(&mut rng, dim, &cfg.query_embed, cfg.dims.embed_q);
@@ -100,17 +86,10 @@ impl GlobalModel {
             net: BranchNet::new(vec![bq, bt, bc], vec![dim, TAU_DIM, aux_dim], head),
             sigma: cfg.sigma,
             n_segments,
-            tau_scale: cfg.tau_scale,
-            radii,
+            tau_scale: inputs.tau_scale,
+            radii: inputs.radii.clone(),
         };
-        let inputs = SampleInputs {
-            samples: training.samples,
-            xq_cache,
-            xc_cache,
-            radii: model.radii.clone(),
-            tau_scale: model.tau_scale,
-        };
-        let report = model.fit(&inputs, labels, cfg.penalty, &cfg.train);
+        let report = model.fit(inputs, labels, cfg.penalty, &cfg.train);
         (model, report)
     }
 
@@ -241,12 +220,14 @@ pub fn missing_rate(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gl::build_feature_caches;
     use cardest_cluster::segmentation::{Segmentation, SegmentationConfig, SegmentationMethod};
     use cardest_data::paper::{DatasetSpec, PaperDataset};
     use cardest_data::workload::SearchWorkload;
 
     struct Fixture {
         w: SearchWorkload,
+        seg: Segmentation,
         labels: SegmentLabels,
         xq: Vec<Vec<f32>>,
         xc: Vec<Vec<f32>>,
@@ -273,19 +254,18 @@ mod tests {
             },
         );
         let labels = SegmentLabels::compute(&w.table, &w.train, &seg);
-        let mut xq = Vec::new();
-        let mut xc = Vec::new();
-        for q in 0..w.queries.len() {
-            let mut buf = Vec::new();
-            w.queries.view(q).write_dense(&mut buf);
-            xq.push(buf);
-            xc.push(seg.centroid_distances(w.queries.view(q)));
+        let (xq, xc) = build_feature_caches(&w.queries, &seg);
+        Fixture {
+            w,
+            seg,
+            labels,
+            xq,
+            xc,
         }
-        Fixture { w, labels, xq, xc }
     }
 
     fn train_with(f: &Fixture, penalty: bool, seed: u64) -> GlobalModel {
-        let training = TrainingSet::new(&f.w.queries, &f.w.train);
+        let inputs = SampleInputs::new(&f.w.train, &f.xq, &f.xc, &f.seg);
         let cfg = GlobalConfig {
             penalty,
             train: TrainConfig {
@@ -294,7 +274,7 @@ mod tests {
             },
             ..GlobalConfig::new(QueryEmbed::Mlp { hidden: 24 })
         };
-        GlobalModel::train(&training, &f.labels, &f.xq, &f.xc, &cfg, seed).0
+        GlobalModel::train(&inputs, &f.labels, &cfg, seed).0
     }
 
     #[test]

@@ -14,14 +14,17 @@
 //!
 //! Trials train on a random subsample (the paper uses 1000 train / 200
 //! validation queries) so a tuning run costs a bounded number of short
-//! trainings.
+//! trainings. Each trial builds, trains and scores a local as phase 1
+//! does (its net shape, [`SampleInputs`] and [`fit_local`]), so the
+//! embedding is chosen on the model that is deployed.
 
-use crate::arch::{build_regressor, tau_features, ModelDims, QueryEmbed, TAU_DIM};
-use cardest_baselines::traits::TrainingSet;
+use crate::arch::{ModelDims, QueryEmbed};
+use crate::gl::{fit_local, SampleInputs};
+use crate::labels::SegmentLabels;
 use cardest_nn::layers::{Conv1d, ConvSpec, PoolOp};
 use cardest_nn::metrics::{decode_log_card, q_error};
-use cardest_nn::trainer::{train_branch_regression, TrainConfig};
-use cardest_nn::Matrix;
+use cardest_nn::scratch::with_thread_scratch;
+use cardest_nn::trainer::TrainConfig;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -46,7 +49,6 @@ pub struct TuningConfig {
     pub max_evals: usize,
     /// Short training used for each trial.
     pub trial_train: TrainConfig,
-    pub dims: ModelDims,
 }
 
 impl Default for TuningConfig {
@@ -63,7 +65,6 @@ impl Default for TuningConfig {
                 batch_size: 64,
                 ..Default::default()
             },
-            dims: ModelDims::default(),
         }
     }
 }
@@ -195,90 +196,63 @@ fn field_candidates(field: usize, current: &ConvSpec, in_len: usize) -> Vec<Conv
     out
 }
 
-/// Trains a trial model with the given conv stack and returns its mean
-/// validation Q-error.
+/// Trains a trial local on `train_idx` as phase 1 trains a deployed one
+/// (the same net shape and inputs, [`fit_local`]) with the given conv
+/// stack, and returns its mean validation Q-error on `segment`'s targets.
 #[allow(clippy::too_many_arguments)]
 fn evaluate_stack(
-    dim: usize,
     layers: &[ConvSpec],
-    training: &TrainingSet<'_>,
-    targets: &[f32],
-    xq_cache: &[Vec<f32>],
-    xc_cache: &[Vec<f32>],
+    inputs: &SampleInputs<'_>,
+    labels: &SegmentLabels,
+    segment: usize,
     train_idx: &[usize],
     val_idx: &[usize],
+    dims: &ModelDims,
     cfg: &TuningConfig,
     seed: u64,
 ) -> f32 {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let aux_dim = xc_cache.first().map_or(1, Vec::len);
-    let tau_scale = training
-        .samples
-        .iter()
-        .map(|s| s.tau)
-        .fold(0.0f32, f32::max)
-        .max(1e-6);
     let embed = QueryEmbed::Cnn {
         layers: layers.to_vec(),
     };
-    let mut net = build_regressor(&mut rng, dim, TAU_DIM, aux_dim, &embed, &cfg.dims);
-    let samples = training.samples;
-    let mut build = |idx: &[usize]| {
-        let b = idx.len();
-        let mut xq = Matrix::zeros(b, dim);
-        let mut xt = Matrix::zeros(b, TAU_DIM);
-        let mut xc = Matrix::zeros(b, aux_dim);
-        let mut cards = Vec::with_capacity(b);
-        for (r, &ti) in idx.iter().enumerate() {
-            let j = train_idx[ti];
-            let s = &samples[j];
-            xq.row_mut(r).copy_from_slice(&xq_cache[s.query]);
-            xt.row_mut(r)
-                .copy_from_slice(&tau_features(s.tau, tau_scale));
-            xc.row_mut(r).copy_from_slice(&xc_cache[s.query]);
-            cards.push(targets[j]);
-        }
-        (vec![xq, xt, xc], cards)
-    };
+    let mut net = inputs.new_local(&embed, dims, seed);
     let mut tcfg = cfg.trial_train;
     tcfg.seed = seed;
-    train_branch_regression(&mut net, train_idx.len(), &mut build, &tcfg);
+    fit_local(&mut net, inputs, labels, segment, train_idx, &tcfg);
 
-    // Validation mean Q-error.
-    let mut total = 0.0f64;
-    for &j in val_idx {
-        let s = &samples[j];
-        let xq = Matrix::from_row(&xq_cache[s.query]);
-        let xt = Matrix::from_row(&tau_features(s.tau, tau_scale));
-        let xc = Matrix::from_row(&xc_cache[s.query]);
-        let pred = decode_log_card(net.forward(&[&xq, &xt, &xc]).get(0, 0), f32::INFINITY);
-        total += q_error(pred, targets[j]) as f64;
-    }
+    // Validation mean Q-error, from one batched forward.
+    let x = inputs.inputs(val_idx);
+    let total: f64 = with_thread_scratch(|scratch| {
+        let out = net.infer(&[&x[0], &x[1], &x[2]], scratch);
+        let total = val_idx
+            .iter()
+            .enumerate()
+            .map(|(r, &j)| {
+                let pred = decode_log_card(out.get(r, 0), f32::INFINITY);
+                q_error(pred, labels.card(j, segment)) as f64
+            })
+            .sum();
+        scratch.recycle(out);
+        total
+    });
     (total / val_idx.len().max(1) as f64) as f32
 }
 
-/// Runs Algorithm 3, returning the tuned query embedding and its
-/// validation error.
-///
-/// `targets[j]` is the regression target of training sample `j` for the
-/// local model being tuned (its per-segment cardinality).
+/// Runs Algorithm 3 for `segment`'s local model, returning the tuned query
+/// embedding and its validation error. Trials train on a subset of
+/// `inputs`' samples against their `card^{j}[segment]` targets, with the
+/// deployed locals' `dims`.
 pub fn tune_query_embedding(
-    dim: usize,
-    training: &TrainingSet<'_>,
-    targets: &[f32],
-    xq_cache: &[Vec<f32>],
-    xc_cache: &[Vec<f32>],
+    inputs: &SampleInputs<'_>,
+    labels: &SegmentLabels,
+    segment: usize,
+    dims: &ModelDims,
     cfg: &TuningConfig,
     seed: u64,
 ) -> (QueryEmbed, f32) {
-    assert_eq!(
-        targets.len(),
-        training.samples.len(),
-        "one target per training sample"
-    );
+    let dim = inputs.dim();
     let mut rng = StdRng::seed_from_u64(seed ^ 0x704E);
     // Lines 1–2: random trial subsets.
-    let mut all: Vec<usize> = (0..training.samples.len()).collect();
+    let mut all: Vec<usize> = (0..inputs.samples.len()).collect();
     all.shuffle(&mut rng);
     let n_train = cfg.train_samples.min(all.len().saturating_sub(1)).max(1);
     let n_val = cfg.val_samples.min(all.len() - n_train).max(1);
@@ -289,14 +263,13 @@ pub fn tune_query_embedding(
     let eval = |layers: &[ConvSpec]| {
         eval_counter.set(eval_counter.get() + 1);
         evaluate_stack(
-            dim,
             layers,
-            training,
-            targets,
-            xq_cache,
-            xc_cache,
+            inputs,
+            labels,
+            segment,
             train_idx,
             val_idx,
+            dims,
             cfg,
             seed.wrapping_add(eval_counter.get()),
         )
@@ -382,6 +355,8 @@ pub fn tune_query_embedding(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gl::build_feature_caches;
+    use cardest_cluster::segmentation::{Segmentation, SegmentationConfig};
     use cardest_data::paper::{DatasetSpec, PaperDataset};
     use cardest_data::workload::SearchWorkload;
 
@@ -446,22 +421,23 @@ mod tests {
         };
         let data = spec.generate(111);
         let w = SearchWorkload::build(&data, &spec, 111);
-        let training = TrainingSet::new(&w.queries, &w.train);
-        let targets: Vec<f32> = w.train.iter().map(|s| s.card).collect();
-        let mut xq = Vec::new();
-        let mut xc = Vec::new();
-        for q in 0..w.queries.len() {
-            let mut buf = Vec::new();
-            w.queries.view(q).write_dense(&mut buf);
-            xq.push(buf);
-            xc.push(vec![0.5f32; 4]); // dummy aux feature
-        }
+        let seg = Segmentation::fit(
+            &data,
+            spec.metric,
+            &SegmentationConfig {
+                n_segments: 4,
+                seed: 111,
+                ..Default::default()
+            },
+        );
+        let labels = SegmentLabels::compute(&w.table, &w.train, &seg);
+        let (xq, xc) = build_feature_caches(&w.queries, &seg);
+        let inputs = SampleInputs::new(&w.train, &xq, &xc, &seg);
         let (embed, err) = tune_query_embedding(
-            spec.dim,
-            &training,
-            &targets,
-            &xq,
-            &xc,
+            &inputs,
+            &labels,
+            0,
+            &ModelDims::default(),
             &TuningConfig::fast(),
             111,
         );

@@ -546,16 +546,7 @@ mod tests {
             assert_eq!(tuned[1].row(0), served.xt.row(0));
             assert_eq!(joined.xt.row(0), served.xt.row(0));
             assert_eq!(joined.aux.row(0), served.aux.row(0));
-            // Serving computes L2 centroid distances through dot products,
-            // so the rows agree up to rounding — far below the radius
-            // growth that a grown-radius overlap column would show.
-            for c in 0..2 * n {
-                let want = served.aux.get(0, c);
-                assert!(
-                    (tuned[2].get(0, c) - want).abs() < 1e-3,
-                    "sample {j} col {c}"
-                );
-            }
+            assert_eq!(tuned[2].row(0), served.aux.row(0), "sample {j}");
             let stale = s.tau - (served.xcd.get(0, owner) - grown);
             assert!((served.aux.get(0, n + owner) - stale).abs() > 1.0);
         }
@@ -601,10 +592,12 @@ mod tests {
             .probe_outputs
             .get()
             .expect("the sweeps filled the cache");
+        let n_seg = upd.gl.n_segments();
         let (seg, o) = outputs
             .iter()
-            .flat_map(|out| out.seg_preds.iter().enumerate())
-            .flat_map(|(seg, preds)| preds.iter().map(move |&o| (seg, o)))
+            .flat_map(|out| out.selected.iter().zip(&out.raw).enumerate())
+            .filter(|&(_, (&selected, _))| selected)
+            .map(|(k, (_, &o))| (k % n_seg, o))
             .filter(|&(seg, _)| upd.gl.segmentation().members(seg).len() > 1)
             .max_by(|a, b| a.1.total_cmp(&b.1))
             .expect("some segment with two members was selected");
