@@ -11,7 +11,7 @@
 //! * **Graceful degradation** — recoverable conditions (τ beyond the
 //!   trained range, a non-finite or negative model output) are answered by
 //!   a configured cheap fallback (sampling or histogram baseline) instead
-//!   of an error, with a counter recording every fallback taken.
+//!   of an error, with counters recording every fallback taken and why.
 //! * **Output clamping** — estimates are clamped to `[0, |D|]`; a search
 //!   cardinality cannot exceed the dataset.
 //! * **Monotonicity repair** (optional) — within a batch, consecutive
@@ -34,12 +34,35 @@ pub struct GuardStats {
     pub served: usize,
     /// Queries rejected before any estimate (unrecoverable input errors).
     pub rejected: usize,
-    /// Queries answered by the fallback estimator.
+    /// Queries answered by the fallback estimator: the sum of
+    /// `fallback_reasons`.
     pub fallbacks: usize,
+    /// Why each fallback was taken.
+    pub fallback_reasons: FallbackReasons,
     /// Estimates clamped into `[0, |D|]`.
     pub clamped: usize,
     /// Estimates raised by the monotonicity repair.
     pub monotone_fixes: usize,
+}
+
+/// Queries answered by the fallback, by why the primary's answer was not
+/// served.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FallbackReasons {
+    /// τ beyond the primary's trained range: the primary never ran.
+    pub tau_out_of_range: usize,
+    /// The primary's estimate was NaN or infinite.
+    pub non_finite: usize,
+    /// The primary's estimate was negative.
+    pub negative: usize,
+}
+
+/// Why one query goes to the fallback.
+#[derive(Debug, Clone, Copy)]
+enum Reason {
+    TauOutOfRange,
+    NonFinite,
+    Negative,
 }
 
 /// A serving wrapper around a primary estimator and a cheap fallback.
@@ -56,6 +79,9 @@ pub struct GuardedEstimator<E, F> {
     served: AtomicUsize,
     rejected: AtomicUsize,
     fallbacks: AtomicUsize,
+    tau_out_of_range: AtomicUsize,
+    non_finite: AtomicUsize,
+    negative: AtomicUsize,
     clamped: AtomicUsize,
     monotone_fixes: AtomicUsize,
 }
@@ -72,6 +98,9 @@ impl<E: CardinalityEstimator, F: CardinalityEstimator> GuardedEstimator<E, F> {
             served: AtomicUsize::new(0),
             rejected: AtomicUsize::new(0),
             fallbacks: AtomicUsize::new(0),
+            tau_out_of_range: AtomicUsize::new(0),
+            non_finite: AtomicUsize::new(0),
+            negative: AtomicUsize::new(0),
             clamped: AtomicUsize::new(0),
             monotone_fixes: AtomicUsize::new(0),
         }
@@ -99,6 +128,11 @@ impl<E: CardinalityEstimator, F: CardinalityEstimator> GuardedEstimator<E, F> {
             served: self.served.load(Ordering::Relaxed),
             rejected: self.rejected.load(Ordering::Relaxed),
             fallbacks: self.fallbacks.load(Ordering::Relaxed),
+            fallback_reasons: FallbackReasons {
+                tau_out_of_range: self.tau_out_of_range.load(Ordering::Relaxed),
+                non_finite: self.non_finite.load(Ordering::Relaxed),
+                negative: self.negative.load(Ordering::Relaxed),
+            },
             clamped: self.clamped.load(Ordering::Relaxed),
             monotone_fixes: self.monotone_fixes.load(Ordering::Relaxed),
         }
@@ -119,7 +153,7 @@ impl<E: CardinalityEstimator, F: CardinalityEstimator> GuardedEstimator<E, F> {
         let guard = self.inner.guard();
         let mut out: Vec<Result<f32, CardestError>> = Vec::with_capacity(queries.len());
         let mut primary_rows: Vec<usize> = Vec::new();
-        let mut fallback_rows: Vec<usize> = Vec::new();
+        let mut fallback_rows: Vec<(usize, Reason)> = Vec::new();
         for (i, &(q, tau)) in queries.iter().enumerate() {
             match guard.validate(i, q, tau) {
                 Ok(()) => {
@@ -127,7 +161,11 @@ impl<E: CardinalityEstimator, F: CardinalityEstimator> GuardedEstimator<E, F> {
                     out.push(Ok(f32::NAN)); // placeholder, overwritten below
                 }
                 Err(e) if e.is_recoverable() => {
-                    fallback_rows.push(i);
+                    let reason = match e {
+                        CardestError::TauOutOfRange { .. } => Reason::TauOutOfRange,
+                        _ => Reason::NonFinite,
+                    };
+                    fallback_rows.push((i, reason));
                     out.push(Ok(f32::NAN));
                 }
                 Err(e) => {
@@ -142,22 +180,30 @@ impl<E: CardinalityEstimator, F: CardinalityEstimator> GuardedEstimator<E, F> {
                 primary_rows.iter().map(|&i| queries[i]).collect();
             let preds = self.inner.estimate_batch(&batch);
             for (&i, pred) in primary_rows.iter().zip(preds) {
-                if pred.is_finite() && pred >= 0.0 {
-                    out[i] = Ok(self.clamp(pred));
+                // The model misbehaved on a well-formed input: degrade.
+                if !pred.is_finite() {
+                    fallback_rows.push((i, Reason::NonFinite));
+                } else if pred < 0.0 {
+                    fallback_rows.push((i, Reason::Negative));
                 } else {
-                    // The model misbehaved on a well-formed input: degrade.
-                    fallback_rows.push(i);
+                    out[i] = Ok(self.clamp(pred));
                 }
             }
         }
 
         if !fallback_rows.is_empty() {
-            fallback_rows.sort_unstable();
+            fallback_rows.sort_unstable_by_key(|&(i, _)| i);
             let batch: Vec<(VectorView<'_>, f32)> =
-                fallback_rows.iter().map(|&i| queries[i]).collect();
+                fallback_rows.iter().map(|&(i, _)| queries[i]).collect();
             let preds = self.fallback.estimate_batch(&batch);
-            for (&i, pred) in fallback_rows.iter().zip(preds) {
+            for (&(i, reason), pred) in fallback_rows.iter().zip(preds) {
                 self.fallbacks.fetch_add(1, Ordering::Relaxed);
+                let by_reason = match reason {
+                    Reason::TauOutOfRange => &self.tau_out_of_range,
+                    Reason::NonFinite => &self.non_finite,
+                    Reason::Negative => &self.negative,
+                };
+                by_reason.fetch_add(1, Ordering::Relaxed);
                 if pred.is_finite() {
                     out[i] = Ok(self.clamp(pred.max(0.0)));
                 } else {
@@ -366,6 +412,63 @@ mod tests {
         // τ = 2.0 > tau_max = 1.0 → fallback answers 20.
         assert_eq!(g.serve(VectorView::Dense(&q), 2.0), Ok(20.0));
         assert_eq!(g.stats().fallbacks, 1);
+        let tau_out_of_range = FallbackReasons {
+            tau_out_of_range: 1,
+            ..FallbackReasons::default()
+        };
+        assert_eq!(g.stats().fallback_reasons, tau_out_of_range);
+    }
+
+    /// Primary that answers τ ≥ 0.5 with NaN and τ in [0.3, 0.5) with a
+    /// negative estimate; its trained range ends at 1.
+    struct Bad;
+    impl CardinalityEstimator for Bad {
+        fn name(&self) -> &'static str {
+            "bad"
+        }
+        fn estimate(&self, _q: VectorView<'_>, tau: f32) -> f32 {
+            match tau {
+                t if t >= 0.5 => f32::NAN,
+                t if t >= 0.3 => -1.0,
+                t => t * 100.0,
+            }
+        }
+        fn model_bytes(&self) -> usize {
+            0
+        }
+        fn tau_bound(&self) -> Option<f32> {
+            Some(1.0)
+        }
+    }
+
+    #[test]
+    fn negative_model_output_degrades_to_fallback() {
+        let g = GuardedEstimator::new(Bad, Cheap, 100);
+        let q = [0.0f32, 0.0];
+        assert_eq!(g.serve(VectorView::Dense(&q), 0.4), Ok(4.0));
+        let s = g.stats();
+        let negative = FallbackReasons {
+            negative: 1,
+            ..FallbackReasons::default()
+        };
+        assert_eq!((s.fallbacks, s.fallback_reasons), (1, negative));
+    }
+
+    #[test]
+    fn fallback_reasons_sum_to_the_fallbacks_of_a_mixed_batch() {
+        let g = GuardedEstimator::new(Bad, Cheap, 100);
+        let q = [0.0f32, 0.0];
+        let batch: Vec<_> = [0.1, 0.4, 2.0, 0.7, 0.45, 3.0, 0.9]
+            .map(|tau| (VectorView::Dense(&q), tau))
+            .to_vec();
+        assert!(g.serve_batch(&batch).iter().all(Result::is_ok));
+        let s = g.stats();
+        let want = FallbackReasons {
+            tau_out_of_range: 2,
+            non_finite: 2,
+            negative: 2,
+        };
+        assert_eq!((s.fallbacks, s.fallback_reasons), (6, want));
     }
 
     #[test]
@@ -381,6 +484,11 @@ mod tests {
         assert_eq!(got, vec![Ok(100.0), Ok(7.0), Ok(100.0)]);
         let s = g.stats();
         assert_eq!((s.served, s.fallbacks), (3, 1));
+        let non_finite = FallbackReasons {
+            non_finite: 1,
+            ..FallbackReasons::default()
+        };
+        assert_eq!(s.fallback_reasons, non_finite);
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub mod sampling;
 pub mod traits;
 
 pub use cardnet::{CardNet, CardNetConfig};
-pub use guarded::{GuardStats, GuardedEstimator};
+pub use guarded::{FallbackReasons, GuardStats, GuardedEstimator};
 pub use histogram::HistogramEstimator;
 pub use kernel::KernelEstimator;
 pub use mlp::{MlpConfig, MlpEstimator};

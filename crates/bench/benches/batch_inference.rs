@@ -1,10 +1,12 @@
 //! Criterion bench for the batched inference path: `estimate_batch` vs
 //! calling `estimate` once per query, on the batch-capable estimators
 //! (GL-CNN, MLP, CardNet). A GL batch routes every query with one global
-//! forward and builds the model inputs once; its locals run per query
-//! either way (per lane group, one lane pass of `cardest_nn::lanes` or
-//! the selected locals' own forwards), so the GL-CNN's gain from
-//! batching comes from routing and input assembly.
+//! forward and builds the model inputs once, and each local it selected
+//! runs once per 16 of the queries that selected it, as query lanes of
+//! `cardest_nn::lanes`. One at a time, each query runs its locals in
+//! 1-wide passes or one 16-local pass. The GL-CNN's gain from batching
+//! comes from routing, input assembly and the locals' shared weight
+//! loads.
 //!
 //! Uses the smoke scale so `cargo bench` stays quick.
 

@@ -2,8 +2,9 @@
 //! register-blocked GEMM / monomorphized-metric work: each case times the
 //! old scalar path (kept verbatim in the `reference` modules) against the
 //! new kernel on the same operands. The `gl_locals` group times the GL
-//! locals' lane pass (`cardest_nn::lanes`) against one `BranchNet::infer`
-//! per local, the forward serving ran before it.
+//! locals' lane kernel (`cardest_nn::lanes`) against `BranchNet::infer`,
+//! and its passes and serving's batch schedule against each other (see
+//! `gl_locals_cases`).
 //!
 //! Besides the Criterion output, the bench performs its own median
 //! measurement (the vendored criterion shim does not expose timings) and
@@ -11,6 +12,7 @@
 //! at the repository root.
 
 use cardest_core::arch::{build_regressor, ModelDims, QueryEmbed, TAU_DIM};
+use cardest_core::gl::{run_locals, PER_LOCAL_MAX};
 use cardest_data::metric::{reference as metric_reference, Metric};
 use cardest_data::vector::{BinaryData, DenseData, VectorData, VectorView};
 use cardest_nn::gemm;
@@ -18,8 +20,9 @@ use cardest_nn::lanes::{LaneNet, LaneScratch};
 use cardest_nn::net::BranchNet;
 use cardest_nn::tensor::Matrix;
 use cardest_nn::Scratch;
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkGroup, Criterion};
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -67,7 +70,7 @@ fn median_ns_pair<F: FnMut(), G: FnMut()>(mut old: F, mut new: G) -> (f64, f64) 
 
 struct CaseResult {
     group: &'static str,
-    case: &'static str,
+    case: String,
     reference_ns: f64,
     kernel_ns: f64,
 }
@@ -123,7 +126,7 @@ fn gemm_cases(c: &mut Criterion, results: &mut Vec<CaseResult>) {
     );
     results.push(CaseResult {
         group: "gemm_kernels",
-        case: "matmul_nt_256x64_64x64",
+        case: "matmul_nt_256x64_64x64".into(),
         reference_ns,
         kernel_ns,
     });
@@ -137,7 +140,7 @@ fn gemm_cases(c: &mut Criterion, results: &mut Vec<CaseResult>) {
     );
     results.push(CaseResult {
         group: "gemm_kernels",
-        case: "matmul_tn_256x64_256x64",
+        case: "matmul_tn_256x64_256x64".into(),
         reference_ns,
         kernel_ns,
     });
@@ -151,7 +154,7 @@ fn gemm_cases(c: &mut Criterion, results: &mut Vec<CaseResult>) {
     );
     results.push(CaseResult {
         group: "gemm_kernels",
-        case: "matmul_nn_256x64_64x64",
+        case: "matmul_nn_256x64_64x64".into(),
         reference_ns,
         kernel_ns,
     });
@@ -224,7 +227,7 @@ fn distance_cases(c: &mut Criterion, results: &mut Vec<CaseResult>) {
         );
         results.push(CaseResult {
             group: "distance_kernels",
-            case,
+            case: case.into(),
             reference_ns,
             kernel_ns,
         });
@@ -236,13 +239,161 @@ fn distance_cases(c: &mut Criterion, results: &mut Vec<CaseResult>) {
 const GL_DIM: usize = 64;
 const GL_LOCALS: usize = 16;
 
-/// The lane pass once per query against one `BranchNet::infer` per
-/// selected local over the batch's rows: one query or a 64-query batch
-/// with every local selected (the grouped forward serving ran before the
-/// lane pass), and one query with 1 to 4 locals selected, where the pass
-/// still runs all 16 lanes. Serving runs a lane group's selected locals
-/// one by one up to the count where the pass wins (`PER_LOCAL_MAX` in
-/// `cardest_core::gl`).
+/// Queries × locals selection flags for `b` queries, each selecting a
+/// random set of `count(rng)` distinct locals.
+fn selection(rng: &mut StdRng, b: usize, count: impl Fn(&mut StdRng) -> usize) -> Vec<bool> {
+    let mut selected = vec![false; b * GL_LOCALS];
+    for row in selected.chunks_mut(GL_LOCALS) {
+        let k = count(rng);
+        let mut order: Vec<usize> = (0..GL_LOCALS).collect();
+        order.shuffle(rng);
+        for &seg in &order[..k] {
+            row[seg] = true;
+        }
+    }
+    selected
+}
+
+/// The served GloVe300 router's shape: 7.8 of 16 locals a query on
+/// average, 36% of queries selecting at most three.
+fn glove_like(rng: &mut StdRng) -> usize {
+    if rng.gen_range(0.0..1.0) < 0.36 {
+        rng.gen_range(1..=3)
+    } else {
+        rng.gen_range(6..=16)
+    }
+}
+
+/// The smoke ImageNET router's shape: 1.9 of 16 locals a query.
+fn imagenet_like(rng: &mut StdRng) -> usize {
+    match rng.gen_range(0.0..1.0) {
+        p if p < 0.35 => 1,
+        p if p < 0.80 => 2,
+        p if p < 0.95 => 3,
+        _ => 4,
+    }
+}
+
+/// The schedule serving ran before query lanes: per query and lane group,
+/// the 16-local pass above three selected locals, else the query queued on
+/// each selected local; then each local's queued rows through
+/// `BranchNet::infer`, three rows a call.
+fn old_schedule(
+    locals: &[BranchNet],
+    lanes: &LaneNet,
+    inputs: [&Matrix; 3],
+    selected: &[bool],
+    scratch: &mut Scratch,
+    lane_scratch: &mut LaneScratch,
+) {
+    let mut queued: Vec<Vec<usize>> = vec![Vec::new(); GL_LOCALS];
+    let mut out = [0.0f32; GL_LOCALS];
+    for (r, sel) in selected.chunks(GL_LOCALS).enumerate() {
+        if sel.iter().filter(|&&s| s).count() > 3 {
+            lanes.infer_group(0, &inputs.map(|m| m.row(r)), &mut out, lane_scratch);
+            black_box(&out);
+        } else {
+            for (rows, _) in queued.iter_mut().zip(sel).filter(|(_, &s)| s) {
+                rows.push(r);
+            }
+        }
+    }
+    for (local, rows) in locals.iter().zip(&queued) {
+        for chunk in rows.chunks(3) {
+            let x = inputs.map(|m| {
+                let mut g = scratch.take(chunk.len(), m.cols());
+                for (i, &r) in chunk.iter().enumerate() {
+                    g.row_mut(i).copy_from_slice(m.row(r));
+                }
+                g
+            });
+            let y = local.infer(&[&x[0], &x[1], &x[2]], scratch);
+            black_box(y.get(0, 0));
+            scratch.recycle(y);
+            for m in x {
+                scratch.recycle(m);
+            }
+        }
+    }
+}
+
+/// Each local over `queued[local]` as query lanes.
+fn run_queued(lanes: &LaneNet, inputs: [&Matrix; 3], queued: &[Vec<usize>], s: &mut LaneScratch) {
+    let mut out = Vec::new();
+    for (seg, rows) in queued.iter().enumerate() {
+        out.resize(rows.len(), 0.0);
+        lanes.infer_rows(seg, &inputs, rows, &mut out, s);
+        black_box(&out);
+    }
+}
+
+/// Serving's plan below `QUERY_LANES_MIN` queries: the 16-local pass for a
+/// query with more than `PER_LOCAL_MAX` selected locals, query lanes for
+/// the other queries' pairs.
+fn small_batch(lanes: &LaneNet, inputs: [&Matrix; 3], selected: &[bool], s: &mut LaneScratch) {
+    let mut queued: Vec<Vec<usize>> = vec![Vec::new(); GL_LOCALS];
+    let mut out = [0.0f32; GL_LOCALS];
+    for (r, sel) in selected.chunks(GL_LOCALS).enumerate() {
+        if sel.iter().filter(|&&s| s).count() > PER_LOCAL_MAX {
+            lanes.infer_group(0, &inputs.map(|m| m.row(r)), &mut out, s);
+            black_box(&out);
+        } else {
+            for (rows, _) in queued.iter_mut().zip(sel).filter(|(_, &s)| s) {
+                rows.push(r);
+            }
+        }
+    }
+    run_queued(lanes, inputs, &queued, s);
+}
+
+/// Serving's plan from `QUERY_LANES_MIN` queries: every pair as query
+/// lanes.
+fn all_query_lanes(lanes: &LaneNet, inputs: [&Matrix; 3], selected: &[bool], s: &mut LaneScratch) {
+    let b = inputs[0].rows();
+    let queued: Vec<Vec<usize>> = (0..GL_LOCALS)
+        .map(|seg| (0..b).filter(|&r| selected[r * GL_LOCALS + seg]).collect())
+        .collect();
+    run_queued(lanes, inputs, &queued, s);
+}
+
+/// Times `reference` and `kernel` as one case of `gl_locals`, into
+/// `results`.
+fn record(
+    group: &mut BenchmarkGroup<'_>,
+    results: &mut Vec<CaseResult>,
+    case: String,
+    mut reference: impl FnMut(),
+    mut kernel: impl FnMut(),
+) {
+    group.bench_function(format!("{case}/reference"), |bch| bch.iter(&mut reference));
+    group.bench_function(format!("{case}/kernel"), |bch| bch.iter(&mut kernel));
+    let (reference_ns, kernel_ns) = median_ns_pair(reference, kernel);
+    results.push(CaseResult {
+        group: "gl_locals",
+        case,
+        reference_ns,
+        kernel_ns,
+    });
+}
+
+/// The GL locals' forward paths, each case a pair (reference, kernel):
+/// - `16_locals_*`: one `BranchNet::infer` per local against the 16-local
+///   pass per query, with every local selected;
+/// - `1_query_k_of_16_one_wide`: `k` selected locals of one query, each
+///   through `BranchNet::infer` (serving's per-local path before one
+///   kernel) against the 1-wide pass;
+/// - `1_query_k_of_16_group`: `k` 1-wide passes against one 16-local pass,
+///   which sets `PER_LOCAL_MAX` in `cardest_core::gl`;
+/// - `1_local_q_queries`: `q` 1-wide passes of one local against one
+///   query-lane pass over the `q` queries;
+/// - `batch_b_*`: a `b`-query batch at a GloVe300-like selection (7.8 of 16
+///   locals a query, 36% selecting at most three) or a smoke-ImageNET-like
+///   one (1.9 of 16), under serving's plan below `QUERY_LANES_MIN` against
+///   its plan from there on, which sets `QUERY_LANES_MIN`;
+/// - `64_queries_*_schedule`: a 64-query batch under the schedule serving
+///   ran before one kernel (per query, the 16-local pass above three
+///   selected locals, else `BranchNet::infer` three rows a call) against
+///   serving's `cardest_core::gl::run_locals`.
 fn gl_locals_cases(c: &mut Criterion, results: &mut Vec<CaseResult>) {
     let mut rng = StdRng::seed_from_u64(0x61_0CA1);
     let embed = QueryEmbed::default_cnn(GL_DIM, 8);
@@ -260,48 +411,140 @@ fn gl_locals_cases(c: &mut Criterion, results: &mut Vec<CaseResult>) {
         })
         .collect();
     let lanes = LaneNet::pack(&locals).expect("the locals share one shape");
-
+    let batch =
+        |rng: &mut StdRng, b: usize| [GL_DIM, TAU_DIM, aux].map(|w| random_matrix(rng, b, w));
     let mut group = c.benchmark_group("gl_locals");
     group.sample_size(10);
-    for (case, q, selected) in [
-        ("cnn_d64_16_locals_1_query", 1, 16),
-        ("cnn_d64_16_locals_64_queries", 64, 16),
-        ("cnn_d64_1_query_1_of_16_selected", 1, 1),
-        ("cnn_d64_1_query_2_of_16_selected", 1, 2),
-        ("cnn_d64_1_query_3_of_16_selected", 1, 3),
-        ("cnn_d64_1_query_4_of_16_selected", 1, 4),
-    ] {
-        let xq = random_matrix(&mut rng, q, GL_DIM);
-        let xt = random_matrix(&mut rng, q, TAU_DIM);
-        let xa = random_matrix(&mut rng, q, aux);
+    let group = &mut group;
+    for (q, case) in [(1, "1_query"), (64, "64_queries")] {
+        let x = batch(&mut rng, q);
         let mut scratch = Scratch::new();
-        let mut per_local = || {
-            for local in &locals[..selected] {
-                let y = local.infer(&[&xq, &xt, &xa], &mut scratch);
+        let mut lane_scratch = LaneScratch::default();
+        let mut out = [0.0f32; GL_LOCALS];
+        record(
+            group,
+            results,
+            format!("cnn_d64_16_locals_{case}"),
+            || {
+                for local in &locals {
+                    let y = local.infer(&[&x[0], &x[1], &x[2]], &mut scratch);
+                    black_box(y.get(0, 0));
+                    scratch.recycle(y);
+                }
+            },
+            || {
+                for r in 0..q {
+                    let inputs = [x[0].row(r), x[1].row(r), x[2].row(r)];
+                    lanes.infer_group(0, &inputs, &mut out, &mut lane_scratch);
+                    black_box(&out);
+                }
+            },
+        );
+    }
+    // One query's `k` locals, one at a time: `BranchNet::infer` or the
+    // 1-wide pass.
+    let x = batch(&mut rng, 1);
+    let inputs = [&x[0], &x[1], &x[2]];
+    let mut scratch = Scratch::new();
+    let mut lane_scratch = LaneScratch::default();
+    let one_wide = |k: usize, s: &mut LaneScratch| {
+        let mut out = [0.0f32];
+        for seg in 0..k {
+            lanes.infer_rows(seg, &inputs, &[0], &mut out, s);
+            black_box(&out);
+        }
+    };
+    for k in 1..=3 {
+        let mut reference = || {
+            for local in &locals[..k] {
+                let y = local.infer(&inputs, &mut scratch);
                 black_box(y.get(0, 0));
                 scratch.recycle(y);
             }
         };
-        let mut lane_scratch = LaneScratch::default();
+        let mut s = LaneScratch::default();
+        let case = format!("cnn_d64_1_query_{k}_of_16_one_wide");
+        record(group, results, case, &mut reference, || one_wide(k, &mut s));
+    }
+    for k in 2..=7 {
+        let mut s = LaneScratch::default();
         let mut out = [0.0f32; GL_LOCALS];
-        let mut lane_pass = || {
-            for r in 0..q {
-                let inputs = [xq.row(r), xt.row(r), xa.row(r)];
+        record(
+            group,
+            results,
+            format!("cnn_d64_1_query_{k}_of_16_group"),
+            || one_wide(k, &mut s),
+            || {
+                let inputs = [x[0].row(0), x[1].row(0), x[2].row(0)];
                 lanes.infer_group(0, &inputs, &mut out, &mut lane_scratch);
                 black_box(&out);
-            }
-        };
-        group.bench_function(format!("{case}/per_local_infer"), |bch| {
-            bch.iter(&mut per_local)
-        });
-        group.bench_function(format!("{case}/lane_pass"), |bch| bch.iter(&mut lane_pass));
-        let (reference_ns, kernel_ns) = median_ns_pair(per_local, lane_pass);
-        results.push(CaseResult {
-            group: "gl_locals",
-            case,
-            reference_ns,
-            kernel_ns,
-        });
+            },
+        );
+    }
+    for q in [1, 4, 8, 16] {
+        let x = batch(&mut rng, q);
+        let inputs = [&x[0], &x[1], &x[2]];
+        let rows: Vec<usize> = (0..q).collect();
+        let mut one_scratch = LaneScratch::default();
+        let mut lane_scratch = LaneScratch::default();
+        let (mut one, mut out) = ([0.0f32], vec![0.0f32; q]);
+        record(
+            group,
+            results,
+            format!("cnn_d64_1_local_{q}_queries"),
+            || {
+                for r in 0..q {
+                    lanes.infer_rows(0, &inputs, &[r], &mut one, &mut one_scratch);
+                    black_box(&one);
+                }
+            },
+            || {
+                lanes.infer_rows(0, &inputs, &rows, &mut out, &mut lane_scratch);
+                black_box(&out);
+            },
+        );
+    }
+    for (name, count) in [
+        ("glove", glove_like as fn(&mut StdRng) -> usize),
+        ("imagenet", imagenet_like),
+    ] {
+        for b in [4, 8, 12, 16, 24] {
+            let x = batch(&mut rng, b);
+            let selected = selection(&mut rng, b, count);
+            let inputs = [&x[0], &x[1], &x[2]];
+            let mut small_scratch = LaneScratch::default();
+            let mut lane_scratch = LaneScratch::default();
+            record(
+                group,
+                results,
+                format!("cnn_d64_batch_{b}_{name}"),
+                || small_batch(&lanes, inputs, &selected, &mut small_scratch),
+                || all_query_lanes(&lanes, inputs, &selected, &mut lane_scratch),
+            );
+        }
+        let x = batch(&mut rng, 64);
+        let selected = selection(&mut rng, 64, count);
+        let inputs = [&x[0], &x[1], &x[2]];
+        let mut scratch = Scratch::new();
+        let mut lane_scratch = LaneScratch::default();
+        record(
+            group,
+            results,
+            format!("cnn_d64_64_queries_{name}_schedule"),
+            || {
+                old_schedule(
+                    &locals,
+                    &lanes,
+                    inputs,
+                    &selected,
+                    &mut scratch,
+                    &mut lane_scratch,
+                )
+            },
+            || {
+                black_box(run_locals(&lanes, inputs, &selected));
+            },
+        );
     }
     group.finish();
 }

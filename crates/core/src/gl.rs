@@ -33,7 +33,6 @@ use cardest_nn::lanes::{LaneError, LaneNet, LaneScratch, LANES};
 use cardest_nn::metrics::decode_log_card;
 use cardest_nn::net::BranchNet;
 use cardest_nn::parallel::{fan_exclusive, train_threads};
-use cardest_nn::scratch::with_thread_scratch;
 use cardest_nn::trainer::{train_branch_regression, TrainConfig};
 use cardest_nn::{Matrix, Scratch};
 use rand::rngs::StdRng;
@@ -159,16 +158,16 @@ pub struct GlEstimator {
     /// [`GlConfig::max_local_samples`] at training time; fine-tuning
     /// selects each local's samples under the same budget.
     max_local_samples: usize,
-    /// The locals packed as the lanes of one net, which serving runs once
-    /// per query and lane group. Derived from `locals` wherever a model is
+    /// The locals packed for the lane kernel, which serves every local
+    /// forward ([`run_locals`]). Derived from `locals` wherever a model is
     /// trained or decoded, and rebuilt whenever they change
-    /// ([`GlEstimator::retrain_locals`]); never serialized. `None` only if
+    /// ([`GlEstimator::retrain_locals`]); never serialized. Empty only if
     /// the locals do not share one shape, which decoding rejects and
-    /// training never produces; each local then serves through its own
-    /// forward pass. Boxed to keep the estimator small where it sits in
-    /// enums beside other families.
+    /// training never produces; every local output then reads NaN, which
+    /// the serving guard answers from its fallback. Boxed to keep the
+    /// estimator small where it sits in enums beside other families.
     #[serde(skip)]
-    lanes: Option<Box<LaneNet>>,
+    lanes: Box<LaneNet>,
 }
 
 impl Deserialize for GlEstimator {
@@ -185,13 +184,12 @@ impl Deserialize for GlEstimator {
             tau_scale: serde::get_field(m, "tau_scale", "GlEstimator")?,
             radii: serde::get_field(m, "radii", "GlEstimator")?,
             max_local_samples: serde::get_field(m, "max_local_samples", "GlEstimator")?,
-            lanes: None,
+            lanes: Box::default(),
         };
         gl.repack()
             .map_err(|e| serde::Error::msg(format!("GlEstimator locals: {e}")))?;
         let n = gl.locals.len();
-        let fits = gl.lanes.as_deref().and_then(|l| l.in_dims().get(1..))
-            == Some(&[TAU_DIM, 2 * n][..])
+        let fits = gl.lanes.in_dims().get(1..) == Some(&[TAU_DIM, 2 * n][..])
             && gl.segmentation.n_segments() == n
             && gl.radii.len() == n
             && gl.global.as_ref().is_none_or(|g| g.n_segments() == n);
@@ -275,11 +273,10 @@ impl GlEstimator {
             tau_scale: inputs.tau_scale,
             radii: inputs.radii,
             max_local_samples: cfg.max_local_samples,
-            lanes: None,
+            lanes: Box::default(),
         };
         // Locals from one `build_regressor` call share one shape, so this
-        // packs; were it ever not to, each local would serve through its
-        // own forward pass.
+        // packs; were it ever not to, every local output would read NaN.
         gl.repack().ok();
         gl
     }
@@ -311,8 +308,8 @@ impl GlEstimator {
     /// Runs `train` on the locals in place, then repacks them, so serving
     /// never runs stale weights. Training moves weights, never shapes, so
     /// the pack fails only if `train` put in a local of another shape: the
-    /// error is returned, and until the locals pack again each serves
-    /// through its own forward pass.
+    /// error is returned, and until the locals pack again every local
+    /// output reads NaN.
     pub(crate) fn retrain_locals<R>(
         &mut self,
         train: impl FnOnce(&mut [BranchNet]) -> R,
@@ -322,10 +319,10 @@ impl GlEstimator {
         Ok(out)
     }
 
-    /// Rebuilds the lane pack from the locals; on an error, drops it.
+    /// Rebuilds the lane pack from the locals; on an error, empties it.
     fn repack(&mut self) -> Result<(), LaneError> {
-        self.lanes = None;
-        self.lanes = Some(Box::new(LaneNet::pack(&self.locals)?));
+        *self.lanes = LaneNet::default();
+        *self.lanes = LaneNet::pack(&self.locals)?;
         Ok(())
     }
 
@@ -456,17 +453,16 @@ impl GlEstimator {
     /// in input order.
     ///
     /// One batched global pass selects segments for the whole batch. The
-    /// locals then run on the calling thread, per query and group of
-    /// [`LANES`] locals: a group with more than [`PER_LOCAL_MAX`] selected
-    /// locals runs as the lanes of one vectorized pass ([`LaneNet`]), a
-    /// sparser one runs each selected local's own forward pass. Either way
-    /// a query's raw local outputs do not depend on the rest of the batch.
-    /// Per-query contributions are accumulated in
+    /// selected locals then run on the calling thread through one lane
+    /// kernel ([`run_locals`]), whose every pass gives a (query, local)
+    /// pair the same bits, so a query's raw local outputs do not depend on
+    /// the rest of the batch. Per-query contributions are accumulated in
     /// ascending segment order, so batched and sequential results agree
     /// within the trait's 1e-5 relative-error contract. (They are not
     /// guaranteed bitwise identical: the global model's blocked GEMM picks
     /// its kernel by operand shape, so routing a batch may reassociate
-    /// differently from routing one query.)
+    /// differently from routing one query, and select another set of
+    /// locals.)
     ///
     /// Two pieces of domain knowledge bound each local estimate:
     /// * a segment cannot contribute more than its member count, so
@@ -551,54 +547,7 @@ impl GlEstimator {
             selected[r * n_seg + nearest] = true;
         }
 
-        // Per query and lane group, one lane pass, or the selected locals
-        // queued for their own forward passes; then each local's queued
-        // rows, a few at a time.
-        let mut raw = vec![f32::NAN; b * n_seg];
-        let mut queued: Vec<Vec<usize>> = vec![Vec::new(); n_seg];
-        let mut lane_scratch = LaneScratch::default();
-        let rows = selected
-            .chunks(n_seg.max(1))
-            .zip(raw.chunks_mut(n_seg.max(1)));
-        for (r, (sel, raw)) in rows.enumerate() {
-            let inputs = [xq.row(r), xt.row(r), xca.row(r)];
-            let lane_groups = sel.chunks(LANES).zip(raw.chunks_mut(LANES));
-            for (g, (sel, raw)) in lane_groups.enumerate() {
-                let count = sel.iter().filter(|&&s| s).count();
-                match self.lanes.as_deref() {
-                    Some(lanes) if count > PER_LOCAL_MAX => {
-                        lanes.infer_group(g, &inputs, raw, &mut lane_scratch);
-                    }
-                    _ => {
-                        let picked = queued[g * LANES..].iter_mut().zip(sel);
-                        for (rows, _) in picked.filter(|(_, &s)| s) {
-                            rows.push(r);
-                        }
-                    }
-                }
-            }
-        }
-        with_thread_scratch(|scratch| {
-            for (seg, (local, rows)) in self.locals.iter().zip(&queued).enumerate() {
-                for chunk in rows.chunks(PER_LOCAL_ROWS) {
-                    let x = [&xq, &xt, &xca].map(|m| {
-                        let mut g = scratch.take(chunk.len(), m.cols());
-                        for (i, &r) in chunk.iter().enumerate() {
-                            g.row_mut(i).copy_from_slice(m.row(r));
-                        }
-                        g
-                    });
-                    let y = local.infer(&[&x[0], &x[1], &x[2]], scratch);
-                    for (i, &r) in chunk.iter().enumerate() {
-                        raw[r * n_seg + seg] = y.get(i, 0);
-                    }
-                    scratch.recycle(y);
-                    for m in x {
-                        scratch.recycle(m);
-                    }
-                }
-            }
-        });
+        let raw = run_locals(&self.lanes, [&xq, &xt, &xca], &selected);
         LocalOutputs { selected, raw }
     }
 
@@ -615,8 +564,10 @@ impl GlEstimator {
         rows.map(|(sel, raw)| {
             // Ascending segment order, as a sequential evaluation sums.
             let (mut total, mut max_single, mut evaluated) = (0.0f32, 0.0f32, 0);
+            let mut lost = false;
             for (seg, (_, &o)) in sel.iter().zip(raw).enumerate().filter(|(_, (&s, _))| s) {
                 evaluated += 1;
+                lost |= o.is_nan();
                 let est = decode_log_card(o, self.segmentation.members(seg).len() as f32);
                 max_single = max_single.max(est);
                 if est >= 0.5 {
@@ -627,7 +578,10 @@ impl GlEstimator {
             // to the largest single one rather than answering a hard zero.
             // cardest-lint: allow(float-total-order): exact zero sentinel for "no segment answered"; totals are sums of exact zeros
             let est = if total == 0.0 { max_single } else { total };
-            (est, evaluated)
+            // A selected local that could not run (the lane kernel's NaN)
+            // leaves no estimate, which the serving guard answers from its
+            // fallback.
+            (if lost { f32::NAN } else { est }, evaluated)
         })
         .collect()
     }
@@ -693,18 +647,84 @@ impl CardinalityEstimator for GlEstimator {
     }
 }
 
-/// A lane group with at most this many selected locals runs them through
-/// their own forward passes instead of one lane pass: one full-scale
-/// GL-CNN local's `BranchNet::infer` costs about a third of a 16-lane pass
-/// (`cargo bench --bench kernels`, `gl_locals`).
-pub(crate) const PER_LOCAL_MAX: usize = 3;
+/// Below [`QUERY_LANES_MIN`] queries, a query's lane group with more than
+/// this many selected locals runs them in one 16-local pass, and a sparser
+/// one queues each pair for query lanes (`cargo bench --bench kernels`,
+/// `gl_locals`: the `1_query_k_of_16_group` cases).
+pub const PER_LOCAL_MAX: usize = 4;
 
-/// Rows per `BranchNet::infer` call when locals run one by one. Up to
-/// this many rows, every layer computes each row exactly as it would the
-/// row alone (from `cardest_nn::gemm::MR` rows on, the GEMM's blocked
-/// kernel sums in another order), so a query's outputs stay the same bits
-/// in any batch.
-const PER_LOCAL_ROWS: usize = cardest_nn::gemm::MR - 1;
+/// From this many queries on, a batch queues every selected pair for query
+/// lanes, dense groups too (`cargo bench --bench kernels`, `gl_locals`: the
+/// `batch_b_*` cases).
+pub(crate) const QUERY_LANES_MIN: usize = 16;
+
+/// Which pass runs each selected (query, local) pair of a batch.
+#[derive(Debug, Default)]
+pub(crate) struct LocalPlan {
+    /// `(query, lane group)` pairs that run one 16-local pass.
+    pub(crate) groups: Vec<(usize, usize)>,
+    /// Per local, the queries it runs as query lanes, in ascending order.
+    pub(crate) queued: Vec<Vec<usize>>,
+}
+
+impl LocalPlan {
+    /// The plan for `selected`, a batch's queries × `n` locals flags,
+    /// row-major: below [`QUERY_LANES_MIN`] queries, a lane group with
+    /// more than [`PER_LOCAL_MAX`] selected locals takes a 16-local pass;
+    /// every other selected pair is queued on its local.
+    pub(crate) fn new(selected: &[bool], n: usize) -> Self {
+        let b = selected.len().checked_div(n).unwrap_or(0);
+        let mut plan = LocalPlan {
+            groups: Vec::new(),
+            queued: vec![Vec::new(); n],
+        };
+        for (r, sel) in selected.chunks(n.max(1)).enumerate() {
+            for (g, sel) in sel.chunks(LANES).enumerate() {
+                if b < QUERY_LANES_MIN && sel.iter().filter(|&&s| s).count() > PER_LOCAL_MAX {
+                    plan.groups.push((r, g));
+                    continue;
+                }
+                let picked = plan.queued[g * LANES..].iter_mut().zip(sel);
+                for (rows, _) in picked.filter(|(_, &s)| s) {
+                    rows.push(r);
+                }
+            }
+        }
+        plan
+    }
+}
+
+/// A query batch's selected locals through the lane kernel ([`LaneNet`]),
+/// on the plan of [`LocalPlan::new`]: `inputs` are the batch's `[x_q,
+/// x_τ, aux]` rows and `selected` its queries × locals flags, row-major.
+/// Returns each selected local's raw `ln card` output in the same layout,
+/// NaN where a local was not selected. Each local runs its queued queries
+/// as query lanes, [`LANES`] a pass; a lone one is a 1-wide pass. Every
+/// pass sums each lane in one order, so a query's raw outputs are the same
+/// bits alone or anywhere in a batch of any size.
+pub fn run_locals(lanes: &LaneNet, inputs: [&Matrix; 3], selected: &[bool]) -> Vec<f32> {
+    let n = selected.len().checked_div(inputs[0].rows()).unwrap_or(0);
+    let mut raw = vec![f32::NAN; selected.len()];
+    let plan = LocalPlan::new(selected, n);
+    let mut scratch = LaneScratch::default();
+    let mut group = [0.0; LANES];
+    for &(r, g) in &plan.groups {
+        lanes.infer_group(g, &inputs.map(|m| m.row(r)), &mut group, &mut scratch);
+        let segs = (g * LANES..n).zip(group);
+        for (seg, y) in segs.filter(|&(seg, _)| selected[r * n + seg]) {
+            raw[r * n + seg] = y;
+        }
+    }
+    let mut out = Vec::new();
+    for (seg, rows) in plan.queued.iter().enumerate() {
+        out.resize(rows.len(), 0.0);
+        lanes.infer_rows(seg, &inputs, rows, &mut out, &mut scratch);
+        for (&r, &y) in rows.iter().zip(&out) {
+            raw[r * n + seg] = y;
+        }
+    }
+    raw
+}
 
 /// Per-segment auxiliary features for one (query, τ) pair, written into a
 /// caller-owned slice of width `2·n`: the centroid distances `x_C` of
@@ -1177,35 +1197,67 @@ mod tests {
             let k = r * n_seg + seg;
             out.selected[k].then(|| out.raw[k].to_bits())
         };
-        let batch = est.local_outputs(&queries);
-        let mut rotated = queries.clone();
-        rotated.rotate_left(17);
-        let moved = est.local_outputs(&rotated);
+        // Each batch: which queries it holds, in order, and its outputs.
+        // Windows of sizes on both sides of `QUERY_LANES_MIN` tile the
+        // queries; the whole set runs once more rotated.
+        let mut batches: Vec<(Vec<usize>, LocalOutputs)> = Vec::new();
+        let mut run = |idx: Vec<usize>| {
+            let batch: Vec<_> = idx.iter().map(|&i| queries[i]).collect();
+            let out = est.local_outputs(&batch);
+            batches.push((idx, out));
+        };
+        for size in [2, QUERY_LANES_MIN - 1, QUERY_LANES_MIN, 64] {
+            for start in (0..64).step_by(size) {
+                run((start..start + size).map(|i| i % 64).collect());
+            }
+        }
+        run((0..64).map(|i| (i + 17) % 64).collect());
+        // Passes the plans run: 16-local, query lanes of two or more
+        // queries, and 1-wide.
+        let mut paths = [0; 3];
+        let mut count = |out: &LocalOutputs| {
+            let plan = LocalPlan::new(&out.selected, n_seg);
+            paths[0] += plan.groups.len();
+            for chunk in plan.queued.iter().flat_map(|rows| rows.chunks(LANES)) {
+                paths[if chunk.len() == 1 { 2 } else { 1 }] += 1;
+            }
+        };
+        for (_, out) in &batches {
+            count(out);
+        }
         let mut compared = 0;
-        // Queries whose selection takes the lane pass, and the per-local
-        // forwards (both, with one lane group of segments).
-        let mut paths = [0; 2];
+        let mut compared_64 = 0;
         for (r, q) in queries.iter().enumerate() {
             let alone = est.local_outputs(std::slice::from_ref(q));
-            let n_sel = alone.selected.iter().filter(|&&s| s).count();
-            paths[usize::from(n_sel > PER_LOCAL_MAX)] += 1;
-            for seg in 0..est.n_segments() {
+            count(&alone);
+            for seg in 0..n_seg {
                 let Some(one) = raw(&alone, 0, seg) else {
                     continue;
                 };
-                for got in [raw(&batch, r, seg), raw(&moved, (r + 64 - 17) % 64, seg)]
-                    .into_iter()
-                    .flatten()
-                {
-                    assert_eq!(got, one, "query {r}, segment {seg}");
-                    compared += 1;
+                for (idx, out) in &batches {
+                    for (pos, _) in idx.iter().enumerate().filter(|&(_, &i)| i == r) {
+                        if let Some(got) = raw(out, pos, seg) {
+                            assert_eq!(
+                                got,
+                                one,
+                                "query {r} at {pos} of {}, segment {seg}",
+                                idx.len()
+                            );
+                            compared += 1;
+                            compared_64 += usize::from(idx.len() == 64);
+                        }
+                    }
                 }
             }
         }
-        assert!(compared >= 2 * 64, "only {compared} outputs compared");
+        assert!(
+            compared_64 >= 2 * 64,
+            "only {compared_64} outputs compared in full batches"
+        );
+        assert!(compared >= 6 * 64, "only {compared} outputs compared");
         assert!(
             paths.iter().all(|&n| n > 0),
-            "per-local, lane pass: {paths:?}"
+            "16-local, query lanes, 1-wide: {paths:?}"
         );
     }
 
@@ -1247,7 +1299,7 @@ mod tests {
                 tau_scale: inputs.tau_scale,
                 radii: inputs.radii.clone(),
                 max_local_samples: 0,
-                lanes: None,
+                lanes: Box::default(),
                 segmentation,
             };
             let batch: Vec<(VectorView<'_>, f32)> = (0..w.queries.len())

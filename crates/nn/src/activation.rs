@@ -25,10 +25,10 @@ impl Activation {
     pub fn apply(self, xs: &mut [f32]) {
         match self {
             Activation::Relu => {
+                // A select rather than a conditional store, so that a
+                // fixed-size block vectorizes instead of branching per value.
                 for x in xs {
-                    if *x < 0.0 {
-                        *x = 0.0;
-                    }
+                    *x = if *x < 0.0 { 0.0 } else { *x };
                 }
             }
             Activation::Sigmoid => {

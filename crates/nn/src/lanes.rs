@@ -1,45 +1,62 @@
-//! One forward pass for many nets of one architecture, each net a lane.
+//! One forward kernel for nets of one architecture, run as the lanes of
+//! one vectorized pass.
 //!
 //! The GL family's local models all come from one `build_regressor` call:
 //! they share every layer shape and differ only in their weights. A
-//! [`LaneNet`] packs them so that lane `s` of the pack is net `s`. Every
-//! weight is stored `[out][in][lane]` over [`LANES`] lanes, so one query's
-//! forward pass runs up to [`LANES`] nets at once: each multiply-add of a
-//! single net becomes one fixed-width vector operation over the lanes,
-//! which the compiler vectorizes with no intrinsics. Nets beyond the first
-//! [`LANES`] fill further groups; the last group's unused lanes are
-//! zero-padded, so any number of nets packs.
+//! [`LaneNet`] keeps their shared shapes and each net's weights twice: each
+//! net's own, and packed so that lane `l` of a group of [`LANES`] nets
+//! holds net `l`'s weight (the last group's unused lanes are zero, so any
+//! number of nets packs). One kernel runs every pass. It is generic over
+//! its lane width (1, 2, 4, 8 or [`LANES`]) and over where lane `l` reads
+//! its weights:
 //!
-//! Each branch's input is broadcast to every lane once, so every layer
-//! reads activations stored `[unit][lane]`. Each dense output sums its
-//! inputs from zero in ascending order and then adds its bias (the order
-//! of the blocked GEMM); a conv output starts from its bias and sums in
-//! `(in channel, tap)` order (the order of `Conv1d`'s stride-1 path), one
-//! accumulator chain per output. Outputs therefore match
-//! [`BranchNet::infer`] up to rounding, and one query's outputs do not
-//! depend on any other query.
+//! - the **16-local pass** ([`LaneNet::infer_group`]) runs one query
+//!   through a group of nets: the query's input is broadcast to every lane,
+//!   and lane `l` reads net `l`'s weights from the pack;
+//! - **query lanes** ([`LaneNet::infer_rows`]) run one net over up to
+//!   [`LANES`] queries a pass: lane `l` reads query `l`'s input, and the
+//!   net's own weights are broadcast to every lane. A lone query is a
+//!   1-wide pass.
 //!
-//! A group costs the same however many of its lanes the caller needs, so
-//! a caller that needs only a few of them may do better with those nets'
-//! own forward passes; [`LaneNet::infer_group`] runs one group at a time
-//! to leave that choice to it.
+//! Every multiply-add of a single net becomes one vector operation over
+//! the lanes, or over a block of outputs where the pass is narrow; the
+//! compiler vectorizes both with no intrinsics. Every lane sums in one
+//! order on every pass: a dense output sums its inputs from zero in
+//! ascending order and then adds its bias; a conv output starts from its
+//! bias and sums in `(in channel, tap)` order. A block of outputs keeps one
+//! accumulator chain per output, which moves no output's order, and Rust
+//! never fuses a multiply with an add. So a (query, net) pair gives the
+//! same bits on every pass, at every width and in every lane, whatever else
+//! the pass runs. The outputs match [`BranchNet::infer`] up to rounding.
 //!
 //! The pass is reachable from serving, so it never panics: [`LaneNet::pack`]
-//! checks every shape up front and returns a typed [`LaneError`], and
-//! [`LaneNet::infer_group`] writes NaN rather than read inputs of the
-//! wrong width.
+//! checks every shape up front and returns a typed [`LaneError`], and each
+//! entry point writes NaN rather than read inputs of the wrong width.
 
 #![cfg_attr(not(test), warn(clippy::as_conversions))]
 
 use crate::activation::Activation;
 use crate::layers::{Layer, PoolOp};
 use crate::net::BranchNet;
+use crate::tensor::Matrix;
 use std::fmt;
 
-/// Nets per lane group: one 512-bit vector of `f32`s, or two 256-bit ones.
+/// Nets per lane group, and queries per query-lane pass: one 512-bit
+/// vector of `f32`s, or two 256-bit ones.
 pub const LANES: usize = 16;
 
-/// One value per lane.
+/// Outputs a block computes at once, each its own accumulator chain. Every
+/// layer stores its weights for its outputs padded with zeros to a
+/// multiple of it.
+const BLOCK: usize = 4;
+
+/// Outputs of the wider blocks that a pass narrower than [`LANES`] runs
+/// first: [`WIDE`] at width 1 and `WIDE / 2` at widths 2 to 8, so that a
+/// narrow pass also vectorizes over outputs (`cargo bench --bench
+/// kernels`, `gl_locals`).
+const WIDE: usize = 16;
+
+/// One value per lane; a pass of width `W` uses the first `W`.
 type Lanes = [f32; LANES];
 
 /// Why a set of nets does not pack.
@@ -50,8 +67,9 @@ pub enum LaneError {
     /// Net `net` has a layer with no lane kernel: the shift-sigmoid, which
     /// only the global model's head uses.
     Unsupported { net: usize },
-    /// Net `net` is inconsistent in itself: a layer has a zero extent,
-    /// consecutive widths do not chain, or its output is not one value.
+    /// Net `net` is inconsistent in itself: a layer has a zero extent or
+    /// parameters that do not fill it, consecutive widths do not chain, or
+    /// its output is not one value.
     Malformed { net: usize },
     /// Net `net` differs from net 0 in shape: layer kinds, widths, conv
     /// geometry or activations.
@@ -83,42 +101,123 @@ fn count_f32(n: usize) -> f32 {
     n as f32
 }
 
-/// A dense layer over all lanes: weights `[out][in]`, biases `[out]`,
-/// each a [`Lanes`] unit.
-#[derive(Debug, Clone)]
-struct LaneDense {
-    in_dim: usize,
-    out_dim: usize,
-    activation: Activation,
-    w: Vec<Lanes>,
-    b: Vec<Lanes>,
+/// `n` outputs padded to whole blocks.
+fn padded(n: usize) -> usize {
+    n.next_multiple_of(BLOCK)
 }
 
-impl LaneDense {
-    /// `out[o] = act(Σ_i w[o][i]·x[i] + b[o])` per lane. Each output sums
-    /// from zero in ascending input order, then adds its bias.
-    fn apply(&self, x: &[Lanes], out: &mut [Lanes]) {
-        let out = &mut out[..self.out_dim];
-        let rows = self.w.chunks_exact(self.in_dim);
-        for ((w, b), y) in rows.zip(&self.b).zip(out.iter_mut()) {
-            let mut acc = [0.0f32; LANES];
-            for (w, x) in w.iter().zip(x) {
-                for ((a, w), x) in acc.iter_mut().zip(w).zip(x) {
-                    *a += w * x;
-                }
-            }
-            for ((y, a), b) in y.iter_mut().zip(acc).zip(b) {
-                *y = a + b;
-            }
-        }
-        self.activation.apply(out.as_flattened_mut());
+/// Where a pass reads one weight: a pack unit, whose lane `l` holds net
+/// `l`'s weight, or one net's own weight, which every lane shares.
+trait Weight {
+    /// The weight in each of the first `W ≤ LANES` lanes.
+    fn lanes<const W: usize>(&self) -> [f32; W];
+}
+
+impl Weight for Lanes {
+    #[inline(always)]
+    fn lanes<const W: usize>(&self) -> [f32; W] {
+        std::array::from_fn(|l| self[l])
     }
 }
 
-/// A conv layer with its pooling over all lanes: weights
-/// `[out_c][in_c][k]`, biases `[out_c]`, each a [`Lanes`] unit.
+impl Weight for f32 {
+    #[inline(always)]
+    fn lanes<const W: usize>(&self) -> [f32; W] {
+        [*self; W]
+    }
+}
+
+/// One layer's weights and biases over its padded outputs (zero beyond
+/// the real ones): dense `[in][out]`, conv `[in_c][k][out_c]`, so that a
+/// block's weights for one input are adjacent.
 #[derive(Debug, Clone)]
-struct LaneConv {
+struct Params<T> {
+    w: Vec<T>,
+    b: Vec<T>,
+}
+
+impl Params<f32> {
+    /// From a layer's `[out][taps]` weights and `[out]` biases, `taps ≥ 1`
+    /// wide.
+    fn from_layer(w: &[f32], b: &[f32], taps: usize) -> Self {
+        let stride = padded(b.len());
+        let mut wt = vec![0.0; taps * stride];
+        for (o, row) in w.chunks_exact(taps).enumerate() {
+            for (t, &v) in row.iter().enumerate() {
+                wt[t * stride + o] = v;
+            }
+        }
+        let mut bt = b.to_vec();
+        bt.resize(stride, 0.0);
+        Params { w: wt, b: bt }
+    }
+}
+
+/// `acc[l] += w[l]·x[l]` for the first `W` lanes.
+#[inline(always)]
+fn mul_add<const W: usize>(acc: &mut [f32; W], w: [f32; W], x: &Lanes) {
+    for ((a, w), x) in acc.iter_mut().zip(w).zip(x) {
+        *a += w * x;
+    }
+}
+
+/// A dense layer's shape: `out = act(W·x + b)`.
+#[derive(Debug, Clone, PartialEq)]
+struct DenseShape {
+    in_dim: usize,
+    out_dim: usize,
+    activation: Activation,
+}
+
+impl DenseShape {
+    /// `out[o] = act(Σ_i w[o][i]·x[i] + b[o])` per lane, a block of outputs
+    /// at a time. Each output sums from zero in ascending input order, then
+    /// adds its bias.
+    fn apply<const W: usize, T: Weight>(&self, p: &Params<T>, x: &[Lanes], out: &mut [Lanes]) {
+        let x = &x[..self.in_dim];
+        let out = &mut out[..self.out_dim];
+        let o = match W {
+            1 => self.blocks::<W, WIDE, T>(p, 0, x, out),
+            LANES => 0,
+            _ => self.blocks::<W, { WIDE / 2 }, T>(p, 0, x, out),
+        };
+        self.blocks::<W, BLOCK, T>(p, o, x, out);
+    }
+
+    /// Outputs from `o` on, `B` at a time while a block fits the padded
+    /// outputs; returns the first output left.
+    #[inline(always)]
+    fn blocks<const W: usize, const B: usize, T: Weight>(
+        &self,
+        p: &Params<T>,
+        mut o: usize,
+        x: &[Lanes],
+        out: &mut [Lanes],
+    ) -> usize {
+        let stride = padded(self.out_dim);
+        while o + B <= stride {
+            let mut acc = [[0.0f32; W]; B];
+            for (x, w) in x.iter().zip(p.w.chunks_exact(stride)) {
+                for (a, w) in acc.iter_mut().zip(&w[o..o + B]) {
+                    mul_add(a, w.lanes(), x);
+                }
+            }
+            for ((a, b), y) in acc.iter_mut().zip(&p.b[o..o + B]).zip(&mut out[o..]) {
+                for (a, b) in a.iter_mut().zip(b.lanes::<W>()) {
+                    *a += b;
+                }
+                self.activation.apply(a);
+                y[..W].copy_from_slice(a);
+            }
+            o += B;
+        }
+        o
+    }
+}
+
+/// A conv layer with its pooling.
+#[derive(Debug, Clone, PartialEq)]
+struct ConvShape {
     in_channels: usize,
     in_len: usize,
     out_channels: usize,
@@ -130,45 +229,31 @@ struct LaneConv {
     conv_len: usize,
     pool_len: usize,
     activation: Activation,
-    w: Vec<Lanes>,
-    b: Vec<Lanes>,
 }
 
-impl LaneConv {
+impl ConvShape {
     /// Convolution and activation into `conv` (`[out_c × conv_len]`), then
     /// pooling into `out` (`[out_c × pool_len]`), on `x` (`[in_c ×
     /// in_len]`). Each output starts from its bias and sums in `(in
     /// channel, tap)` order over the taps whose input position
-    /// `t·stride + k − padding` lies inside the row.
-    fn apply(&self, x: &[Lanes], conv: &mut [Lanes], out: &mut [Lanes]) {
+    /// `t·stride + k − padding` lies inside the row; a block of channels
+    /// shares a position's taps.
+    fn apply<const W: usize, T: Weight>(
+        &self,
+        p: &Params<T>,
+        x: &[Lanes],
+        conv: &mut [Lanes],
+        out: &mut [Lanes],
+    ) {
         let conv = &mut conv[..self.out_channels * self.conv_len];
-        let filters = self.w.chunks_exact(self.in_channels * self.kernel);
-        for ((w, b), c) in filters
-            .zip(&self.b)
-            .zip(conv.chunks_exact_mut(self.conv_len))
-        {
-            for (t, c) in c.iter_mut().enumerate() {
-                let start = t * self.stride;
-                let k_lo = self.padding.saturating_sub(start).min(self.kernel);
-                let k_hi = (self.in_len + self.padding)
-                    .saturating_sub(start)
-                    .min(self.kernel);
-                let mut acc = *b;
-                if k_lo < k_hi {
-                    let x0 = start + k_lo - self.padding;
-                    for (ic, w) in w.chunks_exact(self.kernel).enumerate() {
-                        let x = &x[ic * self.in_len + x0..];
-                        for (w, x) in w[k_lo..k_hi].iter().zip(x) {
-                            for ((a, w), x) in acc.iter_mut().zip(w).zip(x) {
-                                *a += w * x;
-                            }
-                        }
-                    }
-                }
-                *c = acc;
-            }
+        for t in 0..self.conv_len {
+            let oc = match W {
+                1 => self.filters::<W, WIDE, T>(p, 0, t, x, conv),
+                LANES => 0,
+                _ => self.filters::<W, { WIDE / 2 }, T>(p, 0, t, x, conv),
+            };
+            self.filters::<W, BLOCK, T>(p, oc, t, x, conv);
         }
-        self.activation.apply(conv.as_flattened_mut());
         let out = &mut out[..self.out_channels * self.pool_len];
         for (c, o) in conv
             .chunks_exact(self.conv_len)
@@ -178,20 +263,19 @@ impl LaneConv {
                 let lo = p * self.pool_size;
                 let hi = ((p + 1) * self.pool_size).min(self.conv_len);
                 let window = &c[lo..hi];
+                let o = &mut o[..W];
                 match self.pool {
                     PoolOp::Max => {
-                        *o = [f32::NEG_INFINITY; LANES];
+                        o.fill(f32::NEG_INFINITY);
                         for v in window {
                             for (m, &v) in o.iter_mut().zip(v) {
-                                if v > *m {
-                                    *m = v;
-                                }
+                                *m = if v > *m { v } else { *m };
                             }
                         }
                     }
                     PoolOp::Avg | PoolOp::Sum => {
                         // `Iterator::sum`'s order and start value.
-                        *o = [-0.0; LANES];
+                        o.fill(-0.0);
                         for v in window {
                             for (s, v) in o.iter_mut().zip(v) {
                                 *s += v;
@@ -208,37 +292,83 @@ impl LaneConv {
             }
         }
     }
+
+    /// Channels from `oc` on at position `t`, `B` at a time while a block
+    /// fits the padded channels, activated, into `conv`; returns the first
+    /// channel left.
+    #[inline(always)]
+    fn filters<const W: usize, const B: usize, T: Weight>(
+        &self,
+        p: &Params<T>,
+        mut oc: usize,
+        t: usize,
+        x: &[Lanes],
+        conv: &mut [Lanes],
+    ) -> usize {
+        let stride = padded(self.out_channels);
+        let start = t * self.stride;
+        let k_lo = self.padding.saturating_sub(start).min(self.kernel);
+        let k_hi = (self.in_len + self.padding)
+            .saturating_sub(start)
+            .min(self.kernel);
+        while oc + B <= stride {
+            let mut acc: [[f32; W]; B] = std::array::from_fn(|j| p.b[oc + j].lanes());
+            if k_lo < k_hi {
+                let x0 = start + k_lo - self.padding;
+                for ic in 0..self.in_channels {
+                    let xs = &x[ic * self.in_len + x0..][..k_hi - k_lo];
+                    let taps = p.w[(ic * self.kernel + k_lo) * stride..].chunks_exact(stride);
+                    for (x, w) in xs.iter().zip(taps) {
+                        for (a, w) in acc.iter_mut().zip(&w[oc..oc + B]) {
+                            mul_add(a, w.lanes(), x);
+                        }
+                    }
+                }
+            }
+            let real = acc.iter_mut().take(self.out_channels - oc);
+            for (j, a) in real.enumerate() {
+                self.activation.apply(a);
+                conv[(oc + j) * self.conv_len + t][..W].copy_from_slice(a);
+            }
+            oc += B;
+        }
+        oc
+    }
 }
 
-/// One layer of the pack.
-#[derive(Debug, Clone)]
-enum LaneLayer {
-    Dense(LaneDense),
-    Conv(LaneConv),
+/// One layer's shape, which every net of a pack shares.
+#[derive(Debug, Clone, PartialEq)]
+enum Shape {
+    Dense(DenseShape),
+    Conv(ConvShape),
 }
 
-impl LaneLayer {
-    /// The all-zero lane layer shaped like net `net`'s `layer`.
-    fn shaped_like(layer: &Layer, net: usize) -> Result<Self, LaneError> {
+impl Shape {
+    /// Net `net`'s `layer`: its shape and its own parameters.
+    fn of(layer: &Layer, net: usize) -> Result<(Shape, Params<f32>), LaneError> {
         let malformed = LaneError::Malformed { net };
-        match layer {
+        let (shape, w, b) = match layer {
             Layer::Dense(d) => {
-                if d.in_dim == 0 {
+                if d.in_dim == 0 || d.out_dim == 0 {
                     return Err(malformed);
                 }
-                Ok(LaneLayer::Dense(LaneDense {
+                let shape = DenseShape {
                     in_dim: d.in_dim,
                     out_dim: d.out_dim,
                     activation: d.activation,
-                    w: vec![[0.0; LANES]; d.out_dim * d.in_dim],
-                    b: vec![[0.0; LANES]; d.out_dim],
-                }))
+                };
+                (Shape::Dense(shape), d.w.as_slice(), &d.b[..])
             }
             Layer::Conv1d(c) => {
-                if c.in_channels == 0 || c.kernel == 0 || c.pool_size == 0 || c.conv_len() == 0 {
+                if c.in_channels == 0
+                    || c.out_channels == 0
+                    || c.kernel == 0
+                    || c.pool_size == 0
+                    || c.conv_len() == 0
+                {
                     return Err(malformed);
                 }
-                Ok(LaneLayer::Conv(LaneConv {
+                let shape = ConvShape {
                     in_channels: c.in_channels,
                     in_len: c.in_len,
                     out_channels: c.out_channels,
@@ -250,74 +380,55 @@ impl LaneLayer {
                     conv_len: c.conv_len(),
                     pool_len: c.pool_len(),
                     activation: c.activation,
-                    w: vec![[0.0; LANES]; c.out_channels * c.in_channels * c.kernel],
-                    b: vec![[0.0; LANES]; c.out_channels],
-                }))
+                };
+                (Shape::Conv(shape), &c.w[..], &c.b[..])
             }
-            Layer::ShiftSigmoid(_) => Err(LaneError::Unsupported { net }),
+            Layer::ShiftSigmoid(_) => return Err(LaneError::Unsupported { net }),
+        };
+        let (taps, n_b) = match &shape {
+            Shape::Dense(d) => (d.in_dim, d.out_dim),
+            Shape::Conv(c) => (c.in_channels * c.kernel, c.out_channels),
+        };
+        if (w.len(), b.len()) != (n_b * taps, n_b) {
+            return Err(malformed);
         }
+        Ok((shape, Params::from_layer(w, b, taps)))
     }
 
     fn in_dim(&self) -> usize {
         match self {
-            LaneLayer::Dense(d) => d.in_dim,
-            LaneLayer::Conv(c) => c.in_channels * c.in_len,
+            Shape::Dense(d) => d.in_dim,
+            Shape::Conv(c) => c.in_channels * c.in_len,
         }
     }
 
     fn out_dim(&self) -> usize {
         match self {
-            LaneLayer::Dense(d) => d.out_dim,
-            LaneLayer::Conv(c) => c.out_channels * c.pool_len,
+            Shape::Dense(d) => d.out_dim,
+            Shape::Conv(c) => c.out_channels * c.pool_len,
         }
     }
 
     /// Width of the conv buffer before pooling (0 for a dense layer).
     fn conv_dim(&self) -> usize {
         match self {
-            LaneLayer::Dense(_) => 0,
-            LaneLayer::Conv(c) => c.out_channels * c.conv_len,
+            Shape::Dense(_) => 0,
+            Shape::Conv(c) => c.out_channels * c.conv_len,
         }
     }
 
-    /// Copies `layer`'s weights into lane `lane`. `false`, with nothing
-    /// written, if `layer` is not shaped like this one. A layer's
-    /// constructor and its decoder both check that its parameters fill
-    /// its shape.
-    fn set_lane(&mut self, lane: usize, layer: &Layer) -> bool {
-        let (w, b, src_w, src_b) = match (self, layer) {
-            (LaneLayer::Dense(d), Layer::Dense(l)) => {
-                if (l.in_dim, l.out_dim, l.activation) != (d.in_dim, d.out_dim, d.activation) {
-                    return false;
-                }
-                (&mut d.w, &mut d.b, l.w.as_slice(), &l.b[..])
-            }
-            (LaneLayer::Conv(c), Layer::Conv1d(l)) => {
-                let channels = (l.in_channels, l.in_len, l.out_channels, l.kernel);
-                let window = (l.stride, l.padding, l.pool, l.pool_size, l.activation);
-                if channels != (c.in_channels, c.in_len, c.out_channels, c.kernel)
-                    || window != (c.stride, c.padding, c.pool, c.pool_size, c.activation)
-                {
-                    return false;
-                }
-                (&mut c.w, &mut c.b, &l.w[..], &l.b[..])
-            }
-            _ => return false,
-        };
-        for (dst, &v) in w.iter_mut().zip(src_w) {
-            dst[lane] = v;
-        }
-        for (dst, &v) in b.iter_mut().zip(src_b) {
-            dst[lane] = v;
-        }
-        true
-    }
-
-    /// Runs the layer on `x`; returns its output width.
-    fn apply(&self, x: &[Lanes], out: &mut [Lanes], conv: &mut [Lanes]) -> usize {
+    /// Runs the layer on `x` over the first `W` lanes; returns its output
+    /// width.
+    fn apply<const W: usize, T: Weight>(
+        &self,
+        p: &Params<T>,
+        x: &[Lanes],
+        out: &mut [Lanes],
+        conv: &mut [Lanes],
+    ) -> usize {
         match self {
-            LaneLayer::Dense(d) => d.apply(x, out),
-            LaneLayer::Conv(c) => c.apply(x, conv, out),
+            Shape::Dense(d) => d.apply::<W, T>(p, x, out),
+            Shape::Conv(c) => c.apply::<W, T>(p, x, conv, out),
         }
         self.out_dim()
     }
@@ -325,65 +436,38 @@ impl LaneLayer {
 
 /// Output width of `layers` on an input `in_width` wide, if their widths
 /// chain.
-fn stack_width(layers: &[LaneLayer], in_width: usize) -> Option<usize> {
+fn stack_width(layers: &[Shape], in_width: usize) -> Option<usize> {
     layers
         .iter()
         .try_fold(in_width, |w, l| (l.in_dim() == w).then(|| l.out_dim()))
 }
 
-/// Up to [`LANES`] nets as the lanes of one net.
-#[derive(Debug, Clone)]
-struct LaneGroup {
-    branches: Vec<Vec<LaneLayer>>,
-    head: Vec<LaneLayer>,
+/// A net's layers in pack order (each branch's stack, then the head), with
+/// their shapes and its own parameters.
+fn layers_of(net: &BranchNet, s: usize) -> Result<(Vec<Shape>, Vec<Params<f32>>), LaneError> {
+    let branches = net.branches().iter().map(|b| b.layers());
+    branches
+        .chain([net.head().layers()])
+        .flatten()
+        .map(|l| Shape::of(l, s))
+        .collect::<Result<Vec<_>, _>>()
+        .map(|layers| layers.into_iter().unzip())
 }
 
-impl LaneGroup {
-    /// One query through every lane: each branch on its input, broadcast
-    /// to every lane, the branch outputs concatenated, the head on the
-    /// concatenation.
-    fn run(&self, inputs: &[&[f32]], s: &mut LaneScratch) -> Lanes {
-        let mut off = 0;
-        for (branch, x) in self.branches.iter().zip(inputs) {
-            for (v, &x) in s.input.iter_mut().zip(*x) {
-                *v = [x; LANES];
-            }
-            let width = run_stack(branch, &s.input[..x.len()], &mut s.stack);
-            s.concat[off..off + width].copy_from_slice(&s.stack.cur[..width]);
-            off += width;
-        }
-        run_stack(&self.head, &s.concat[..off], &mut s.stack);
-        s.stack.cur[0]
-    }
-
-    /// Copies `net`'s weights into lane `lane`; `false` if `net` is not
-    /// shaped like the group.
-    fn set_lane(&mut self, lane: usize, net: &BranchNet, in_dims: &[usize]) -> bool {
-        let fill = |layers: &mut [LaneLayer], src: &[Layer]| {
-            layers.len() == src.len()
-                && layers.iter_mut().zip(src).all(|(l, s)| l.set_lane(lane, s))
-        };
-        net.in_dims() == in_dims
-            && net.branches().len() == self.branches.len()
-            && self
-                .branches
-                .iter_mut()
-                .zip(net.branches())
-                .all(|(b, src)| fill(b, src.layers()))
-            && fill(&mut self.head, net.head().layers())
-    }
-}
-
-/// Runs `layers` on `x`, leaving the output in `s.cur`; returns its width.
-/// An empty stack passes its input through.
-fn run_stack(layers: &[LaneLayer], x: &[Lanes], s: &mut Stack) -> usize {
-    let Some((first, rest)) = layers.split_first() else {
+/// Runs `layers` on `x` over the first `W` lanes, leaving the output in
+/// `s.cur`; returns its width. An empty stack passes its input through.
+fn run_stack<'a, const W: usize, T: Weight + 'a>(
+    mut layers: impl Iterator<Item = (&'a Shape, &'a Params<T>)>,
+    x: &[Lanes],
+    s: &mut Stack,
+) -> usize {
+    let Some((first, p)) = layers.next() else {
         s.cur[..x.len()].copy_from_slice(x);
         return x.len();
     };
-    let mut width = first.apply(x, &mut s.cur, &mut s.conv);
-    for layer in rest {
-        width = layer.apply(&s.cur[..width], &mut s.next, &mut s.conv);
+    let mut width = first.apply::<W, T>(p, x, &mut s.cur, &mut s.conv);
+    for (layer, p) in layers {
+        width = layer.apply::<W, T>(p, &s.cur[..width], &mut s.next, &mut s.conv);
         std::mem::swap(&mut s.cur, &mut s.next);
     }
     width
@@ -398,11 +482,11 @@ struct Stack {
     conv: Vec<Lanes>,
 }
 
-/// Reusable buffers for [`LaneNet::infer_group`]; any pack sizes them on
+/// Reusable buffers for the passes of [`LaneNet`]; any pack sizes them on
 /// use.
 #[derive(Debug, Default)]
 pub struct LaneScratch {
-    /// A branch's input, broadcast to every lane.
+    /// A branch's input, one unit per input column.
     input: Vec<Lanes>,
     stack: Stack,
     concat: Vec<Lanes>,
@@ -423,14 +507,22 @@ impl LaneScratch {
     }
 }
 
-/// Nets of one architecture packed as lanes (module docs). Built once from
-/// the nets, it is plain data: [`LaneNet::infer_group`] takes `&self`.
+/// Nets of one architecture, packed for the lane passes (module docs).
+/// Built once from the nets, it is plain data: every pass takes `&self`.
 #[derive(Debug, Clone, Default)]
 pub struct LaneNet {
     /// Width of each branch's input.
     in_dims: Vec<usize>,
-    /// Net `s` is lane `s % LANES` of group `s / LANES`.
-    groups: Vec<LaneGroup>,
+    /// Every layer's shape: each branch's stack in input order, then the
+    /// head.
+    shapes: Vec<Shape>,
+    /// Layers in each branch's stack.
+    branch_layers: Vec<usize>,
+    /// Per group of [`LANES`] nets, every layer's packed parameters: net
+    /// `s` is lane `s % LANES` of group `s / LANES`.
+    groups: Vec<Vec<Params<Lanes>>>,
+    /// Per net, every layer's own parameters.
+    nets: Vec<Vec<Params<f32>>>,
     /// Widest activation, in units.
     width: usize,
     /// Widest conv output before pooling, in units.
@@ -446,55 +538,72 @@ impl LaneNet {
     /// and are ignored.
     pub fn pack(nets: &[BranchNet]) -> Result<Self, LaneError> {
         let first = nets.first().ok_or(LaneError::Empty)?;
-        let shaped = |layers: &[Layer]| -> Result<Vec<LaneLayer>, LaneError> {
-            layers
-                .iter()
-                .map(|l| LaneLayer::shaped_like(l, 0))
-                .collect()
-        };
-        let branches = first
-            .branches()
-            .iter()
-            .map(|b| shaped(b.layers()))
-            .collect::<Result<Vec<_>, _>>()?;
-        let head = shaped(first.head().layers())?;
+        let (shapes, first_params) = layers_of(first, 0)?;
         let in_dims = first.in_dims().to_vec();
+        let branch_layers: Vec<usize> = first.branches().iter().map(|b| b.layers().len()).collect();
 
         let malformed = LaneError::Malformed { net: 0 };
-        if branches.len() != in_dims.len() {
+        if branch_layers.len() != in_dims.len() {
             return Err(malformed);
         }
         let mut concat_width = 0;
-        for (branch, &d) in branches.iter().zip(&in_dims) {
-            concat_width += stack_width(branch, d).ok_or(malformed)?;
+        let mut layer = 0;
+        for (&n, &d) in branch_layers.iter().zip(&in_dims) {
+            concat_width += stack_width(&shapes[layer..layer + n], d).ok_or(malformed)?;
+            layer += n;
         }
-        if stack_width(&head, concat_width) != Some(1) {
+        if stack_width(&shapes[layer..], concat_width) != Some(1) {
             return Err(malformed);
         }
-        let layers = || branches.iter().flatten().chain(&head);
-        let width = layers()
-            .map(LaneLayer::out_dim)
+        let width = shapes
+            .iter()
+            .map(Shape::out_dim)
             .chain(in_dims.iter().copied())
             .chain([concat_width])
             .max()
             .unwrap_or(0);
-        let conv_width = layers().map(LaneLayer::conv_dim).max().unwrap_or(0);
+        let conv_width = shapes.iter().map(Shape::conv_dim).max().unwrap_or(0);
 
-        let template = LaneGroup { branches, head };
-        let mut groups = Vec::with_capacity(nets.len().div_ceil(LANES));
-        for (g, chunk) in nets.chunks(LANES).enumerate() {
-            let mut group = template.clone();
-            for (lane, net) in chunk.iter().enumerate() {
-                let s = g * LANES + lane;
-                if !group.set_lane(lane, net, &in_dims) {
-                    return Err(LaneError::Mismatch { net: s });
-                }
+        let mut own = vec![first_params];
+        for (s, net) in nets.iter().enumerate().skip(1) {
+            let same_branches = net.in_dims() == in_dims
+                && net.branches().len() == branch_layers.len()
+                && net
+                    .branches()
+                    .iter()
+                    .zip(&branch_layers)
+                    .all(|(b, &n)| b.layers().len() == n);
+            match layers_of(net, s) {
+                Ok((sh, params)) if same_branches && sh == shapes => own.push(params),
+                _ => return Err(LaneError::Mismatch { net: s }),
             }
-            groups.push(group);
         }
+        let groups = own
+            .chunks(LANES)
+            .map(|chunk| {
+                let pack = |layer: usize, part: fn(&Params<f32>) -> &[f32]| {
+                    let mut units = vec![[0.0; LANES]; part(&chunk[0][layer]).len()];
+                    for (lane, net) in chunk.iter().enumerate() {
+                        for (u, &v) in units.iter_mut().zip(part(&net[layer])) {
+                            u[lane] = v;
+                        }
+                    }
+                    units
+                };
+                (0..shapes.len())
+                    .map(|k| Params {
+                        w: pack(k, |p| &p.w),
+                        b: pack(k, |p| &p.b),
+                    })
+                    .collect()
+            })
+            .collect();
         Ok(LaneNet {
             in_dims,
+            shapes,
+            branch_layers,
             groups,
+            nets: own,
             width,
             conv_width,
             concat_width,
@@ -506,10 +615,37 @@ impl LaneNet {
         &self.in_dims
     }
 
-    /// Runs one query through group `g`'s nets: `inputs[i]` feeds branch
-    /// `i` of every net, and the output of net `g·LANES + l` lands in
-    /// `out[l]`, for as many lanes as `out` holds. If `g` is not a group
-    /// or an input has the wrong width, `out` is NaN.
+    /// One pass of width `W` over `params`: `fill(i, units)` writes branch
+    /// `i`'s input into `units`, one unit per column, and the head's output
+    /// per lane is returned.
+    fn run<const W: usize, T: Weight>(
+        &self,
+        params: &[Params<T>],
+        fill: impl Fn(usize, &mut [Lanes]),
+        s: &mut LaneScratch,
+    ) -> [f32; W] {
+        s.fit(self);
+        let mut layers = self.shapes.iter().zip(params);
+        let mut off = 0;
+        for (i, (&d, &n)) in self.in_dims.iter().zip(&self.branch_layers).enumerate() {
+            fill(i, &mut s.input[..d]);
+            let width = run_stack::<W, T>(layers.by_ref().take(n), &s.input[..d], &mut s.stack);
+            s.concat[off..off + width].copy_from_slice(&s.stack.cur[..width]);
+            off += width;
+        }
+        run_stack::<W, T>(layers, &s.concat[..off], &mut s.stack);
+        std::array::from_fn(|l| s.stack.cur[0][l])
+    }
+
+    /// Whether `widths` are the branches' input widths.
+    fn fits(&self, widths: impl ExactSizeIterator<Item = usize>) -> bool {
+        widths.len() == self.in_dims.len() && widths.zip(&self.in_dims).all(|(w, &d)| w == d)
+    }
+
+    /// The 16-local pass: one query through group `g`'s nets. `inputs[i]`
+    /// feeds branch `i` of every net, and the output of net `g·LANES + l`
+    /// lands in `out[l]`, for as many lanes as `out` holds. If `g` is not a
+    /// group or an input has the wrong width, `out` is NaN.
     pub fn infer_group(
         &self,
         g: usize,
@@ -517,17 +653,79 @@ impl LaneNet {
         out: &mut [f32],
         scratch: &mut LaneScratch,
     ) {
-        let fits = inputs.len() == self.in_dims.len()
-            && inputs.iter().zip(&self.in_dims).all(|(x, &d)| x.len() == d);
         match self.groups.get(g) {
-            Some(group) if fits => {
-                scratch.fit(self);
-                for (o, y) in out.iter_mut().zip(group.run(inputs, scratch)) {
+            Some(params) if self.fits(inputs.iter().map(|x| x.len())) => {
+                let fill = |i: usize, units: &mut [Lanes]| {
+                    for (u, &x) in units.iter_mut().zip(inputs[i]) {
+                        *u = [x; LANES];
+                    }
+                };
+                let y = self.run::<LANES, Lanes>(params, fill, scratch);
+                for (o, y) in out.iter_mut().zip(y) {
                     *o = y;
                 }
             }
             _ => out.fill(f32::NAN),
         }
+    }
+
+    /// Query lanes: net `net` on rows `rows` of `inputs` (`inputs[i]`
+    /// feeds branch `i`), [`LANES`] rows a pass with each row a lane; the
+    /// output for `rows[j]` lands in `out[j]`. A last pass of fewer rows
+    /// runs at the narrowest width of 1, 2, 4, 8 and [`LANES`] that holds
+    /// them, so one row is a 1-wide pass. If `net` is not a net, an input
+    /// has the wrong width, a row is out of range, or `out` and `rows`
+    /// differ in length, `out` is NaN.
+    pub fn infer_rows(
+        &self,
+        net: usize,
+        inputs: &[&Matrix],
+        rows: &[usize],
+        out: &mut [f32],
+        scratch: &mut LaneScratch,
+    ) {
+        let fits = self.fits(inputs.iter().map(|m| m.cols()))
+            && out.len() == rows.len()
+            && inputs.iter().all(|m| rows.iter().all(|&r| r < m.rows()));
+        let Some(params) = self.nets.get(net).filter(|_| fits) else {
+            out.fill(f32::NAN);
+            return;
+        };
+        for (rows, out) in rows.chunks(LANES).zip(out.chunks_mut(LANES)) {
+            match rows.len() {
+                1 => self.query_pass::<1>(params, inputs, rows, out, scratch),
+                2 => self.query_pass::<2>(params, inputs, rows, out, scratch),
+                3 | 4 => self.query_pass::<4>(params, inputs, rows, out, scratch),
+                5..=8 => self.query_pass::<8>(params, inputs, rows, out, scratch),
+                _ => self.query_pass::<LANES>(params, inputs, rows, out, scratch),
+            }
+        }
+    }
+
+    /// One query-lane pass of width `W ≥ rows.len()` over one net's
+    /// `params`; lanes past the rows read zeros.
+    fn query_pass<const W: usize>(
+        &self,
+        params: &[Params<f32>],
+        inputs: &[&Matrix],
+        rows: &[usize],
+        out: &mut [f32],
+        scratch: &mut LaneScratch,
+    ) {
+        let fill = |i: usize, units: &mut [Lanes]| {
+            for (l, &r) in rows.iter().enumerate() {
+                for (u, &x) in units.iter_mut().zip(inputs[i].row(r)) {
+                    u[l] = x;
+                }
+            }
+            if rows.len() < W {
+                for u in units.iter_mut() {
+                    u[rows.len()..W].fill(0.0);
+                }
+            }
+        };
+        let y = self.run::<W, f32>(params, fill, scratch);
+        out.copy_from_slice(&y[..out.len()]);
     }
 }
 
@@ -617,6 +815,62 @@ mod tests {
         }
     }
 
+    /// Row counts of a query-lane call: every pass width (1, 2, 4, 8, 16),
+    /// full and partly filled, and more rows than one pass holds.
+    const ROW_COUNTS: [usize; 10] = [1, 2, 3, 4, 5, 8, 9, 16, 17, 33];
+
+    /// Packs `n` nets built by `build` and checks that query lanes give
+    /// each (query, net) pair the bits of the 16-local pass, at every row
+    /// count and in every lane position.
+    fn assert_passes_agree(n: usize, build: impl Fn(&mut StdRng) -> BranchNet) {
+        let mut rng = StdRng::seed_from_u64(1000 + n as u64);
+        let nets: Vec<BranchNet> = (0..n).map(|_| build(&mut rng)).collect();
+        let pack = LaneNet::pack(&nets).unwrap();
+        let mut s = LaneScratch::default();
+        let queries = 33;
+        let x = [24, 3, 2].map(|w| {
+            let rows: Vec<Vec<f32>> = (0..queries).map(|_| row(&mut rng, w)).collect();
+            Matrix::from_rows(&rows.iter().map(Vec::as_slice).collect::<Vec<_>>())
+        });
+        let inputs = [&x[0], &x[1], &x[2]];
+        let want: Vec<Vec<u32>> = (0..queries)
+            .map(|q| {
+                let rows = inputs.map(|m| m.row(q));
+                let out = infer_all(&pack, &rows, n, &mut s);
+                out.iter().map(|y| y.to_bits()).collect()
+            })
+            .collect();
+        // The first and last nets of each group, and one inside.
+        let mut checked: Vec<usize> = [0, 1, n / 2, LANES - 1, LANES, n - 1].to_vec();
+        checked.retain(|&net| net < n);
+        checked.dedup();
+        for net in checked {
+            for k in ROW_COUNTS {
+                // A different subset and order of queries for each call.
+                let rows: Vec<usize> = (0..k).map(|j| (j * 7 + net + k) % queries).collect();
+                let mut out = vec![f32::NAN; k];
+                pack.infer_rows(net, &inputs, &rows, &mut out, &mut s);
+                for (lane, (&q, y)) in rows.iter().zip(&out).enumerate() {
+                    assert_eq!(
+                        y.to_bits(),
+                        want[q][net],
+                        "net {net} of {n}, query {q} in lane {lane} of {k}: {y} against {}",
+                        f32::from_bits(want[q][net])
+                    );
+                }
+            }
+        }
+    }
+
+    /// Both checks at every net count: 1, a part of a group, one full
+    /// group, one past it and two past it.
+    fn assert_all_counts(build: impl Fn(&mut StdRng) -> BranchNet) {
+        for n in [1, 5, 16, 17, 33] {
+            assert_lanes_match(n, &build);
+            assert_passes_agree(n, &build);
+        }
+    }
+
     fn spec(kernel: usize, stride: usize, padding: usize, pool: PoolOp) -> ConvSpec {
         ConvSpec {
             out_channels: 3,
@@ -631,7 +885,7 @@ mod tests {
     #[test]
     fn dense_lanes_match_infer_for_every_activation() {
         for act in ACTIVATIONS {
-            assert_lanes_match(5, |rng| net(rng, &[], act));
+            assert_all_counts(|rng| net(rng, &[], act));
         }
     }
 
@@ -647,7 +901,7 @@ mod tests {
                 vec![spec(4, 4, 0, pool)],
             ] {
                 for act in ACTIVATIONS {
-                    assert_lanes_match(3, |rng| net(rng, &convs, act));
+                    assert_all_counts(|rng| net(rng, &convs, act));
                 }
             }
         }
@@ -655,11 +909,33 @@ mod tests {
 
     #[test]
     fn any_net_count_packs_into_padded_groups() {
-        for n in [1, 5, 16, 17, 33] {
-            assert_lanes_match(n, |rng| {
-                net(rng, &[spec(3, 1, 1, PoolOp::Max)], Activation::Relu)
-            });
-        }
+        // Nets padded into lane groups at every count, with layer widths
+        // past every output block (16, 8 and 4) and a remainder at each.
+        let build = |rng: &mut StdRng| {
+            let conv = ConvSpec {
+                out_channels: 21,
+                ..spec(3, 2, 1, PoolOp::Max)
+            };
+            let query = vec![
+                Layer::Conv1d(Conv1d::new(rng, 1, 24, conv, Activation::Relu)),
+                Layer::Dense(Dense::new(rng, 21 * 6, 19, Activation::Relu)),
+            ];
+            let head = vec![
+                Layer::Dense(Dense::new(rng, 24, 37, Activation::Tanh)),
+                Layer::Dense(Dense::new(rng, 37, 1, Activation::Identity)),
+            ];
+            let tau = Layer::Dense(Dense::new(rng, 3, 3, Activation::Sigmoid));
+            BranchNet::new(
+                vec![
+                    Sequential::new(query),
+                    Sequential::new(vec![tau]),
+                    Sequential::identity(),
+                ],
+                vec![24, 3, 2],
+                Sequential::new(head),
+            )
+        };
+        assert_all_counts(build);
     }
 
     #[test]
@@ -668,15 +944,44 @@ mod tests {
         let nets = vec![net(&mut rng, &[], Activation::Relu)];
         let pack = LaneNet::pack(&nets).unwrap();
         let mut s = LaneScratch::default();
-        let short = [0.5; 23];
+        let (xq, xt, xa) = ([0.5; 24], [0.1; 3], [0.2; 2]);
         let mut out = [0.0];
-        pack.infer_group(0, &[&short, &[0.1; 3], &[0.2; 2]], &mut out, &mut s);
-        assert!(out[0].is_nan());
-        let mut out = [0.0];
-        pack.infer_group(1, &[&[0.5; 24], &[0.1; 3], &[0.2; 2]], &mut out, &mut s);
-        assert!(out[0].is_nan());
-        pack.infer_group(0, &[&[0.5; 24], &[0.1; 3], &[0.2; 2]], &mut out, &mut s);
+        for (g, inputs) in [
+            (0, vec![&[0.5; 23][..], &xt, &xa]),
+            (0, vec![&xq[..], &xt]),
+            (1, vec![&xq[..], &xt, &xa]),
+        ] {
+            out[0] = 0.0;
+            pack.infer_group(g, &inputs, &mut out, &mut s);
+            assert!(out[0].is_nan(), "group {g}, {} inputs", inputs.len());
+        }
+        pack.infer_group(0, &[&xq, &xt, &xa], &mut out, &mut s);
         assert!(out[0].is_finite());
+
+        let m = |x: &[f32]| Matrix::from_row(x);
+        let (mq, mt, ma, short) = (m(&xq), m(&xt), m(&xa), m(&[0.5; 23]));
+        let good = [&mq, &mt, &ma];
+        for (net, inputs, rows, len) in [
+            (0, vec![&short, &mt, &ma], vec![0], 1),
+            (0, vec![&mq, &mt], vec![0], 1),
+            (1, good.to_vec(), vec![0], 1),
+            (0, good.to_vec(), vec![1], 1),
+            (0, good.to_vec(), vec![0, 0], 1),
+        ] {
+            let mut out = vec![0.0; len];
+            pack.infer_rows(net, &inputs, &rows, &mut out, &mut s);
+            assert!(out.iter().all(|y| y.is_nan()), "net {net}, rows {rows:?}");
+        }
+        let mut out = [0.0; 2];
+        pack.infer_rows(0, &good, &[0, 0], &mut out, &mut s);
+        assert!(out.iter().all(|y| y.is_finite()));
+
+        let empty = LaneNet::default();
+        let mut out = [0.0];
+        empty.infer_group(0, &[&xq, &xt, &xa], &mut out, &mut s);
+        assert!(out[0].is_nan());
+        empty.infer_rows(0, &good, &[0], &mut out, &mut s);
+        assert!(out[0].is_nan());
     }
 
     #[test]

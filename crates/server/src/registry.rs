@@ -133,6 +133,9 @@ fn add_stats(into: &mut GuardStats, s: GuardStats) {
     into.served += s.served;
     into.rejected += s.rejected;
     into.fallbacks += s.fallbacks;
+    into.fallback_reasons.tau_out_of_range += s.fallback_reasons.tau_out_of_range;
+    into.fallback_reasons.non_finite += s.fallback_reasons.non_finite;
+    into.fallback_reasons.negative += s.fallback_reasons.negative;
     into.clamped += s.clamped;
     into.monotone_fixes += s.monotone_fixes;
 }

@@ -785,6 +785,17 @@ fn handle_stats(shared: &Shared) -> (u16, String) {
                 ("served".to_string(), Value::UInt(guard.served as u64)),
                 ("rejected".to_string(), Value::UInt(guard.rejected as u64)),
                 ("fallbacks".to_string(), Value::UInt(guard.fallbacks as u64)),
+                ("fallback_reasons".to_string(), {
+                    let r = guard.fallback_reasons;
+                    Value::Map(vec![
+                        (
+                            "tau_out_of_range".to_string(),
+                            Value::UInt(r.tau_out_of_range as u64),
+                        ),
+                        ("non_finite".to_string(), Value::UInt(r.non_finite as u64)),
+                        ("negative".to_string(), Value::UInt(r.negative as u64)),
+                    ])
+                }),
                 ("clamped".to_string(), Value::UInt(guard.clamped as u64)),
                 (
                     "monotone_fixes".to_string(),

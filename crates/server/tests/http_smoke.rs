@@ -281,13 +281,26 @@ fn smoke_battery_estimate_batch_errors_reload_stats() {
     let r = c.post_json("/estimate", &fx.estimate_body(0.3)).unwrap();
     assert_eq!(r.status, 200, "old model must keep serving: {}", r.text());
 
+    // --- τ beyond the trained range: answered by the fallback ---
+    let r = c.post_json("/estimate", &fx.estimate_body(1e6)).unwrap();
+    assert_eq!(r.status, 200, "{}", r.text());
+
     // --- stats reflect everything above ---
     let r = c.get("/stats").unwrap();
     assert_eq!(r.status, 200);
     let v: Value = serde_json::from_str(&r.text()).unwrap();
     assert_eq!(as_u64(field(field(&v, "reloads"), "ok")), 1);
     assert_eq!(as_u64(field(field(&v, "reloads"), "rejected")), 1);
-    assert!(as_u64(field(field(&v, "guard"), "served")) >= 5);
+    let guard = field(&v, "guard");
+    assert!(as_u64(field(guard, "served")) >= 6);
+    let reasons = field(guard, "fallback_reasons");
+    let by_reason =
+        ["tau_out_of_range", "non_finite", "negative"].map(|k| as_u64(field(reasons, k)));
+    assert!(by_reason[0] >= 1, "{}", r.text());
+    assert_eq!(
+        by_reason.iter().sum::<u64>(),
+        as_u64(field(guard, "fallbacks"))
+    );
     assert!(as_u64(field(field(&v, "http"), "400")) >= 6);
     let est_route = field(field(&v, "routes"), "estimate");
     assert!(as_u64(field(est_route, "count")) >= 2);
